@@ -18,6 +18,8 @@ import random
 from array import array
 from dataclasses import dataclass
 
+from .rationals import is_prime
+
 Coeffs = tuple[int, ...]
 
 
@@ -355,6 +357,8 @@ def ff_collision_search(
     bound and asserts that distinct inputs always produce distinct values.
     Trials split across workers with derived seeds; counts are merged.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     if trials < 1:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import MultiPoly, udeg, uderiv, ueval, utrim
+from .rationals import is_prime
 
 REAL_DELTA_DEFAULT = Fraction(1, 1024)
 TOL_FLOOR = 1e-12  # documented floor: double precision cannot certify below this
@@ -232,7 +233,7 @@ def padic_collision(
     Newton-lifts in Z/p^precision.  The valuation trace is exact and
     nondecreasing by construction.
     """
-    if not _is_small_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -312,14 +313,3 @@ def padic_collision(
         residual_valuation=best_v,
         valuation_trace=tuple(trace),
     )
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True

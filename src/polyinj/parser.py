@@ -218,10 +218,8 @@ def lower(ast: ExprAST) -> MultiPoly:
         return MultiPoly.const(ast.value)
     if isinstance(ast, Var):
         return MultiPoly.variable(ast.name)
-    if isinstance(ast, Add):
-        return lower(ast.left) + lower(ast.right)
-    if isinstance(ast, Sub):
-        return lower(ast.left) - lower(ast.right)
+    if isinstance(ast, (Add, Sub)):
+        return _lower_sum(ast)
     if isinstance(ast, Neg):
         return -lower(ast.operand)
     if isinstance(ast, Mul):
@@ -229,6 +227,31 @@ def lower(ast: ExprAST) -> MultiPoly:
     if isinstance(ast, Pow):
         return lower(ast.base) ** ast.exponent
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _lower_sum(ast: Add | Sub) -> MultiPoly:
+    """Lower a sum without recursing along its additive spine.
+
+    ``parse`` builds sums as left-deep Add/Sub chains, one node per term, so
+    recursing down the left operands would exhaust the interpreter stack on
+    sums of about a thousand terms.  The summands are collected iteratively
+    and added pairwise, which also keeps each addition near the size of its
+    operands instead of copying one ever-growing accumulator per term.
+    """
+    summands = []
+    node = ast
+    while isinstance(node, (Add, Sub)):
+        rhs = lower(node.right)
+        summands.append(rhs if isinstance(node, Add) else -rhs)
+        node = node.left
+    summands.append(lower(node))
+    summands.reverse()
+    while len(summands) > 1:
+        paired = [a + b for a, b in zip(summands[::2], summands[1::2])]
+        if len(summands) % 2:
+            paired.append(summands[-1])
+        summands = paired
+    return summands[0]
 
 
 def parse_poly(text: str) -> MultiPoly:

@@ -22,21 +22,10 @@ from fractions import Fraction
 
 from .collide import CollisionReport, SearchSpace, find_collisions
 from .poly import BinaryForm, MultiPoly
-from .rationals import pth_root, rat_to_str
+from .rationals import is_prime, pth_root, rat_to_str
 from .surface import PointSet, ProjPoint, scan_surface
 
 MAX_AB_DRAWS = 10000
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def choose_prime(w: int) -> int:
@@ -48,7 +37,7 @@ def choose_prime(w: int) -> int:
         raise ValueError(f"root-of-unity count must be even and >= 2, got {w}")
     p = 5
     while True:
-        if _is_prime(p) and w % p != 0:
+        if is_prime(p) and w % p != 0:
             return p
         p += 1
 

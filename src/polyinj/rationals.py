@@ -3,8 +3,9 @@
 Rationals are ``fractions.Fraction`` throughout: the stdlib type already
 keeps the canonical form this project relies on (gcd-reduced, positive
 denominator, zero stored as 0/1).  This module adds the pieces Fraction
-does not have: the naive height, exact p-th roots, the "num/den" wire
-format, and residue fingerprints used to accelerate exact-equality joins.
+does not have: the naive height, exact p-th roots, a trial-division
+primality test, the "num/den" wire format, and residue fingerprints used to
+accelerate exact-equality joins.
 
 A fingerprint is a tuple of residues of a rational value modulo a fixed
 tuple of word-sized primes, with ``None`` marking slots where the prime
@@ -89,6 +90,18 @@ def int_nth_root(n: int, k: int) -> int | None:
             break
         r = nxt
     return r if r ** k == n else None
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test, for the small primes of p-th powers and F_p."""
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
 
 
 def pth_root(r: Fraction, p: int) -> Fraction | None:

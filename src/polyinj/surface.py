@@ -1,10 +1,12 @@
 """Bounded-height rational points on the surface F(x,y) = F(z,w) in P^3.
 
-The scan enumerates every integer pair in the box [-H, H]^2, joins pairs
-with equal form values through the same fingerprint machinery the collision
-engine uses, emits one projective point per ordered pair of equal-value
-inputs (the self-pair yields the diagonal), canonicalizes, dedupes, and
-classifies each point as trivial-line or exceptional.
+Inside the integer box [-H, H]^2 the points of the surface are exactly the
+equal-value input pairs of F, so the scan is an adapter over the collision
+engine: ``find_collisions`` over the integer box supplies every pair of
+distinct inputs with equal form values, each input paired with itself
+supplies the diagonal, and the scan emits one projective point per ordered
+pair, canonicalizes, dedupes, and classifies each point as trivial-line or
+exceptional.
 
 Enumerating all integer pairs rather than only primitive ones is deliberate:
 primitivity of (x, y) alone does not make the 4-tuple primitive, and
@@ -13,17 +15,10 @@ post-canonicalization dedup is provably complete inside the box.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
-from .collide import (
-    _fp_sort_key,
-    _shard_ranges,
-    compile_xy_terms,
-    fingerprint_value,
-    make_evaluator,
-)
+from .collide import SearchSpace, find_collisions
 from .poly import BinaryForm
 from .rationals import FINGERPRINT_PRIMES
 
@@ -115,28 +110,6 @@ class PointSet:
         }
 
 
-def _fp_shard_of(fp: tuple, fp_shards: int) -> int:
-    """Bucket shard from the top bits of the first residue (None -> shard 0)."""
-    r = fp[0]
-    if r is None:
-        return 0
-    return r * fp_shards >> 62
-
-
-def _surface_shard(payload):
-    rows, height, start, end, primes, fp_pass, fp_shards = payload
-    side = 2 * height + 1
-    ev = make_evaluator(rows, True)
-    out = []
-    for idx in range(start, end):
-        x = idx // side - height
-        y = idx % side - height
-        fp = fingerprint_value(ev(x, y), primes)
-        if fp_shards == 1 or _fp_shard_of(fp, fp_shards) == fp_pass:
-            out.append((fp, idx))
-    return out
-
-
 def scan_surface(
     form: BinaryForm,
     height: int,
@@ -144,31 +117,20 @@ def scan_surface(
     shards: int | None = None,
     workers: int | None = None,
     primes: tuple[int, ...] = FINGERPRINT_PRIMES,
-    fp_shards: int = 1,
 ) -> PointSet:
     """All canonical points of F(x,y)=F(z,w) with coordinates in [-H, H].
 
     Complete within the box: a canonical point's own coordinate pairs lie in
-    the box, so the join over all pairs recovers it.  ``fp_shards`` > 1 makes
-    one pass per fingerprint shard (top bits of the first residue), retaining
-    only that shard's buckets per pass: peak memory shrinks by the shard
-    count at the price of re-evaluating the box each pass.
+    the box, so the collision join over all pairs recovers it.  ``shards``,
+    ``workers`` and ``primes`` are passed to ``find_collisions`` unchanged.
     """
-    if height < 1:
-        raise ValueError("height bound must be >= 1")
-    if fp_shards < 1:
-        raise ValueError("fp_shards must be >= 1")
-    rows = compile_xy_terms(form.to_multipoly())
-    side = 2 * height + 1
-    total = side * side
-    shards = shards or (8 if total >= 20000 else 1)
-    workers = workers or 1
-    ranges = _shard_ranges(total, shards)
-    ev = make_evaluator(rows, True)
-
-    def pair_of(idx):
-        return (idx // side - height, idx % side - height)
-
+    report = find_collisions(
+        form.to_multipoly(),
+        SearchSpace("integers", height),
+        shards=shards,
+        workers=workers,
+        primes=primes,
+    )
     points: set[ProjPoint] = set()
     # Diagonal points (x:y:x:y) come from every input paired with itself.
     for x in range(-height, height + 1):
@@ -176,37 +138,11 @@ def scan_surface(
             p = ProjPoint.canonical(x, y, x, y)
             if p is not None:
                 points.add(p)
-
-    for fp_pass in range(fp_shards):
-        payloads = [(rows, height, a, b, primes, fp_pass, fp_shards) for a, b in ranges]
-        if workers > 1 and shards > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_surface_shard, payloads))
-        else:
-            results = [_surface_shard(p) for p in payloads]
-
-        buckets: dict[tuple, list[int]] = {}
-        for shard in results:
-            for fp, idx in shard:
-                buckets.setdefault(fp, []).append(idx)
-
-        for fp in sorted(buckets, key=_fp_sort_key):
-            idxs = buckets[fp]
-            if len(idxs) < 2:
-                continue
-            by_value: dict = {}
-            for idx in idxs:
-                by_value.setdefault(ev(*pair_of(idx)), []).append(idx)
-            for members in by_value.values():
-                for i in members:
-                    xi, yi = pair_of(i)
-                    for j in members:
-                        if i == j:
-                            continue
-                        zj, wj = pair_of(j)
-                        p = ProjPoint.canonical(xi, yi, zj, wj)
-                        if p is not None:
-                            points.add(p)
+    # Each unordered collision gives the point and its swap image; neither is
+    # the zero tuple, because the two inputs are distinct.
+    for (x, y), (z, w), _ in report.collisions:
+        points.add(ProjPoint.canonical(x, y, z, w))
+        points.add(ProjPoint.canonical(z, w, x, y))
 
     ordered = sorted(points, key=lambda p: p.coords)
     trivial, exceptional = classify(ordered, form.degree)

@@ -98,6 +98,17 @@ def test_domain_error_exit_1_structured():
     assert json.loads(res2.stderr)["error"]["type"] == "ParseError"
 
 
+def test_invalid_counts_exit_1_structured():
+    res = run(["surface", "--form", "x^3+y^3", "--height", "12", "--shards", "-1"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValueError" and "shard count" in err["message"]
+    # Refused at once: mod 1 no nonzero denominator can ever be drawn.
+    res2 = run(["ffield", "--p", "1", "--deg", "2", "--trials", "5", "--seed", "0"])
+    assert res2.exit_code == 1
+    assert json.loads(res2.stderr)["error"]["message"] == "1 is not prime"
+
+
 def test_malformed_json_poly_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ definitely not json")

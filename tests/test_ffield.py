@@ -136,6 +136,9 @@ def test_search_validation():
         ff_collision_search(5, -1, 10, seed=0)
     with pytest.raises(ValueError):
         ff_collision_search(5, 2, 0, seed=0)
+    for p in (1, 4, 0):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            ff_collision_search(p, 2, 5, seed=0)
 
 
 def test_text_format_round_trip():

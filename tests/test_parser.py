@@ -85,6 +85,19 @@ def test_render_round_trip_handpicked():
         assert parse_poly(p.render()) == p
 
 
+def test_long_sums_parse():
+    # Sums are left-deep chains, one node per term; lowering must not recurse
+    # along them.
+    p = parse_poly(" + ".join(f"x^{i}" for i in range(1000)))
+    assert p == MultiPoly(("x",), {(i,): Fraction(1) for i in range(1000)})
+    big = MultiPoly(
+        ("x", "y"),
+        {(i, j): Fraction((-1) ** i * (i + 1), j + 1) for i in range(50) for j in range(41)},
+    )
+    assert len(big.terms) > 2000
+    assert parse_poly(big.render()) == big
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**63))
 def test_render_round_trip_random(seed):

@@ -11,6 +11,7 @@ from polyinj.rationals import (
     fingerprint,
     height,
     int_nth_root,
+    is_prime,
     pth_root,
     rat_from_str,
     rat_to_str,
@@ -140,6 +141,11 @@ def test_int_nth_root_matches_definition(n, k):
         assert round(n ** (1 / k)) ** k != n
     else:
         assert r**k == n
+
+
+def test_is_prime_matches_miller_rabin():
+    for n in range(-5, 3000):
+        assert is_prime(n) == _miller_rabin(n), n
 
 
 def test_pth_root():

@@ -85,7 +85,10 @@ def test_scan_agrees_with_brute_force_random_forms():
     for _ in range(6):
         f = random_form(rng, rng.randint(1, 5), coeff_bound=4)
         h = rng.randint(2, 8)
-        assert set(scan_surface(f, h).all_points()) == brute_surface_points(f, h)
+        brute = brute_surface_points(f, h)
+        assert set(scan_surface(f, h).all_points()) == brute
+        # Tiny primes force fingerprint collisions through the shared join.
+        assert set(scan_surface(f, h, primes=(5, 7)).all_points()) == brute
 
 
 def test_trivial_line_containment():
@@ -104,8 +107,18 @@ def test_scan_deterministic_across_shards_workers():
     a = scan_surface(f, 10)
     b = scan_surface(f, 10, shards=5)
     c = scan_surface(f, 10, shards=4, workers=2)
-    d = scan_surface(f, 10, fp_shards=4)  # multi-pass fingerprint sharding
+    d = scan_surface(f, 10, primes=(5, 7))  # forced fingerprint collisions
     assert a == b == c == d
+
+
+def test_scan_rejects_shard_count_outside_inputs():
+    # A count outside [1, inputs] is refused, never scanned as an empty box.
+    f = form("x^3 + y^3")
+    with pytest.raises(ValueError, match="shard count"):
+        scan_surface(f, 12, shards=-1)
+    with pytest.raises(ValueError, match="shard count"):
+        scan_surface(f, 2, shards=26)
+    assert scan_surface(f, 2, shards=25) == scan_surface(f, 2)
 
 
 def test_scaling_invariance_unique_canonical():
