@@ -3,12 +3,16 @@
 The engine runs a two-phase equality join over all input pairs of bounded
 height:
 
-  phase 1  evaluate f exactly at every input pair, keep only
-           (fingerprint, input index) — the big exact values are dropped
-           and recomputed on demand;
+  phase 1  fingerprint every input pair in word-sized residues, keeping
+           only (fingerprint, input index): per prime q, f's coefficients
+           and the axis values are reduced mod q once, and no exact value
+           is built.  An input falls back to exact evaluation only where q
+           shares a factor with a coefficient denominator or with one of
+           its two denominators (input denominators are at most H, far
+           below the default 62-bit primes);
   phase 2  bucket by fingerprint, split oversized buckets with an extended
            prime tuple, then confirm every candidate bucket by exact
-           re-evaluation and value grouping.
+           evaluation and value grouping.
 
 Every reported collision is exactly confirmed; fingerprints can only cost
 time, never soundness.  Reports are deterministic: identical inputs give
@@ -31,7 +35,13 @@ from itertools import combinations
 from math import gcd
 
 from .poly import MultiPoly
-from .rationals import FINGERPRINT_PRIMES, FINGERPRINT_PRIMES_EXTENDED, rat_to_str
+from .rationals import (
+    FINGERPRINT_PRIMES,
+    FINGERPRINT_PRIMES_EXTENDED,
+    check_fingerprint_primes,
+    rat_to_str,
+)
+from .rationals import fingerprint as fingerprint_value
 
 # Buckets larger than this are split by the extended prime tuple before
 # exact confirmation, bounding the number of exact values held at once.
@@ -152,24 +162,6 @@ def make_evaluator(rows, integer_inputs: bool):
     return ev_frac
 
 
-def fingerprint_value(v, primes: tuple[int, ...]) -> tuple:
-    """Fingerprint of an exact value (int or Fraction)."""
-    num, den = v.numerator, v.denominator
-    if den == 1:
-        return tuple(num % q for q in primes)
-    out = []
-    for q in primes:
-        if den % q == 0:
-            out.append(None)
-        else:
-            out.append(num * pow(den, -1, q) % q)
-    return tuple(out)
-
-
-def _fp_sort_key(fp: tuple) -> tuple:
-    return tuple(-1 if r is None else r for r in fp)
-
-
 # -- sharded phase 1 -------------------------------------------------------------
 
 
@@ -184,15 +176,72 @@ def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _residue_table(rows, axis, inexact, q):
+    """Residues mod q for one prime: the terms of f grouped by their y-degree.
+
+    Returns (q, constant-in-y terms, [(y^e column, terms with y-degree e)]),
+    each term a (column of x^ex over the axis, coefficient residue) pair.
+    Axis values in ``inexact`` get a dummy residue; their slots are redone
+    exactly by the caller.
+    """
+    res = [0 if j in inexact else v.numerator * pow(v.denominator, -1, q) % q
+           for j, v in enumerate(axis)]
+    xcols = {}
+    by_ey: dict[int, list] = {}
+    for ex, ey, num, den in rows:
+        if ex not in xcols:
+            xcols[ex] = [pow(r, ex, q) for r in res]
+        by_ey.setdefault(ey, []).append((xcols[ex], num * pow(den, -1, q) % q))
+    y_groups = [([pow(r, ey, q) for r in res], terms)
+                for ey, terms in sorted(by_ey.items()) if ey]
+    return q, by_ey.get(0, []), y_groups
+
+
+def _row_residues(table, i, lo, hi):
+    """Residues of f(axis[i], axis[j]) for j in lo..hi-1: f folded at x, then summed per y."""
+    q, const_terms, y_groups = table
+    acc = [sum(c * xcol[i] for xcol, c in const_terms)] * (hi - lo)
+    for ycol, terms in y_groups:
+        c = sum(coef * xcol[i] for xcol, coef in terms) % q
+        acc = [a + c * p for a, p in zip(acc, ycol[lo:hi])]
+    return [a % q for a in acc]
+
+
 def _phase1_shard(payload):
+    """(fingerprint, index) for inputs start..end-1, computed in residues.
+
+    Per prime q the coefficients and axis values are reduced mod q once;
+    each x is folded into a polynomial in y, whose value at every y of the
+    row is a few word-sized products.  An input is reduced only when q is
+    coprime to every coefficient denominator and to both input
+    denominators: reduction is then a ring homomorphism on everything
+    involved, so the residue equals the fingerprint of the exact value.
+    Any other input is evaluated exactly and fingerprinted as such.
+    """
     rows, mode, height, start, end, primes = payload
     axis = input_axis(SearchSpace(mode, height))
     n = len(axis)
     ev = make_evaluator(rows, mode == "integers")
+
+    def exact(i, j):
+        return fingerprint_value(ev(axis[i], axis[j]), primes)
+
+    if any(gcd(d, q) != 1 for (_, _, _, d) in rows for q in primes):
+        return [(exact(idx // n, idx % n), idx) for idx in range(start, end)]
+    inexact = {j for j, v in enumerate(axis) if any(gcd(v.denominator, q) != 1 for q in primes)}
+    tables = [_residue_table(rows, axis, inexact, q) for q in primes]
     out = []
-    for idx in range(start, end):
-        v = ev(axis[idx // n], axis[idx % n])
-        out.append((fingerprint_value(v, primes), idx))
+    for i in range(start // n, (end - 1) // n + 1):
+        base = i * n
+        lo, hi = max(start - base, 0), min(end - base, n)
+        if i in inexact:
+            out.extend((exact(i, j), base + j) for j in range(lo, hi))
+            continue
+        fps = list(zip(*[_row_residues(t, i, lo, hi) for t in tables])) or [()] * (hi - lo)
+        for j in inexact:
+            if lo <= j < hi:
+                fps[j - lo] = exact(i, j)
+        out.extend(zip(fps, range(base + lo, base + hi)))
     return out
 
 
@@ -314,6 +363,7 @@ def find_collisions(
     exists so interruption can be tested deterministically.
     """
     t0 = time.perf_counter()
+    check_fingerprint_primes(primes)
     rows = compile_xy_terms(poly)
     axis = input_axis(space)
     n = len(axis)
@@ -359,11 +409,18 @@ def find_collisions(
         for s in pending:
             note_done(s, _phase1_shard(payloads[s]))
 
-    # Deterministic merge: shard id order, indices ascending within shards.
+    # Keep only fingerprints shared by two or more inputs.  Each bucket
+    # lists its indices in ascending order (shards merge in id order); the
+    # order of the buckets themselves does not matter, as the emitted pairs
+    # are sorted below.
+    first: dict[tuple, int] = {}
     buckets: dict[tuple, list[int]] = {}
     for s in range(shards):
         for fp, idx in completed[s]:
-            buckets.setdefault(fp, []).append(idx)
+            j = first.setdefault(fp, idx)
+            if j != idx:
+                buckets.setdefault(fp, [j]).append(idx)
+    del first
 
     ev = make_evaluator(rows, space.mode == "integers")
 
@@ -374,10 +431,7 @@ def find_collisions(
     confirms = 0
     out_pairs: list[tuple[int, int]] = []
     out_values: list = []
-    for fp in sorted(buckets, key=_fp_sort_key):
-        idxs = buckets[fp]
-        if len(idxs) < 2:
-            continue
+    for idxs in buckets.values():
         candidates += len(idxs)
         if len(idxs) > ESCALATION_THRESHOLD and len(primes) < len(FINGERPRINT_PRIMES_EXTENDED):
             extended = FINGERPRINT_PRIMES_EXTENDED
@@ -386,7 +440,7 @@ def find_collisions(
                 v = ev(*pair_of(idx))
                 confirms += 1
                 sub.setdefault(fingerprint_value(v, extended), []).append(idx)
-            groups = [sub[k] for k in sorted(sub, key=_fp_sort_key)]
+            groups = sub.values()
         else:
             groups = [idxs]
         for group in groups:

@@ -10,11 +10,15 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     rational := int ('/' uint)?
 
 '^' binds tighter than unary minus, so "-x^2" parses as -(x^2).  Exponents
-are nonnegative integer literals only.
+are nonnegative integer literals only.  A run of unary minus signs folds to
+one Neg or none, by parity.  Parentheses nest at most MAX_NESTING deep;
+with that bound, and with sums and products walked iteratively, no input
+exhausts the interpreter stack.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +27,11 @@ from .poly import VAR_ORDER, MultiPoly
 # Expanding a parsed expression must stay desk-sized; exponents past this
 # would hang the expander long before anything useful happened.
 MAX_EXPONENT = 10**6
+
+# The parser recurses once per level of parentheses (four frames a level),
+# and lowering once more; this bound keeps both well below the interpreter's
+# default recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -127,6 +136,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -152,9 +162,10 @@ class _Parser:
         return node
 
     def factor(self):
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.advance()
-            return Neg(self.factor())
+            negate = not negate
         node = self.atom()
         if self.peek().kind == "^":
             self.advance()
@@ -166,7 +177,7 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", t.offset)
             node = Pow(node, e)
-        return node
+        return Neg(node) if negate else node
 
     def atom(self):
         t = self.peek()
@@ -188,12 +199,16 @@ class _Parser:
             self.advance()
             return Var(t.text)
         if t.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.offset)
             self.advance()
+            self.depth += 1
             node = self.expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.offset)
             self.advance()
+            self.depth -= 1
             return node
         if t.kind == "end":
             raise ParseError("unexpected end of input", t.offset)
@@ -223,7 +238,7 @@ def lower(ast: ExprAST) -> MultiPoly:
     if isinstance(ast, Neg):
         return -lower(ast.operand)
     if isinstance(ast, Mul):
-        return lower(ast.left) * lower(ast.right)
+        return _lower_product(ast)
     if isinstance(ast, Pow):
         return lower(ast.base) ** ast.exponent
     raise TypeError(f"not an expression node: {ast!r}")
@@ -234,9 +249,7 @@ def _lower_sum(ast: Add | Sub) -> MultiPoly:
 
     ``parse`` builds sums as left-deep Add/Sub chains, one node per term, so
     recursing down the left operands would exhaust the interpreter stack on
-    sums of about a thousand terms.  The summands are collected iteratively
-    and added pairwise, which also keeps each addition near the size of its
-    operands instead of copying one ever-growing accumulator per term.
+    sums of about a thousand terms.
     """
     summands = []
     node = ast
@@ -246,12 +259,33 @@ def _lower_sum(ast: Add | Sub) -> MultiPoly:
         node = node.left
     summands.append(lower(node))
     summands.reverse()
-    while len(summands) > 1:
-        paired = [a + b for a, b in zip(summands[::2], summands[1::2])]
-        if len(summands) % 2:
-            paired.append(summands[-1])
-        summands = paired
-    return summands[0]
+    return _combine_pairwise(summands, operator.add)
+
+
+def _lower_product(ast: Mul) -> MultiPoly:
+    """Lower a product along its left-deep Mul chain iteratively, as for sums."""
+    factors = []
+    node = ast
+    while isinstance(node, Mul):
+        factors.append(lower(node.right))
+        node = node.left
+    factors.append(lower(node))
+    factors.reverse()
+    return _combine_pairwise(factors, operator.mul)
+
+
+def _combine_pairwise(items: list[MultiPoly], op) -> MultiPoly:
+    """Fold items with op in adjacent pairs, round by round.
+
+    Each operation then stays near the size of its operands instead of
+    copying one ever-growing accumulator per item.
+    """
+    while len(items) > 1:
+        paired = [op(a, b) for a, b in zip(items[::2], items[1::2])]
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0]
 
 
 def parse_poly(text: str) -> MultiPoly:

@@ -45,10 +45,12 @@ def height(r: Fraction) -> int:
     return max(abs(r.numerator), r.denominator)
 
 
-def fingerprint(r: Fraction, primes: tuple[int, ...]) -> Fingerprint:
+def fingerprint(r: Fraction | int, primes: tuple[int, ...]) -> Fingerprint:
     """Residues of r modulo each prime; None where the prime divides den."""
-    _check_primes(primes)
+    check_fingerprint_primes(primes)
     num, den = r.numerator, r.denominator
+    if den == 1:
+        return tuple(num % q for q in primes)
     out = []
     for q in primes:
         if den % q == 0:
@@ -58,7 +60,8 @@ def fingerprint(r: Fraction, primes: tuple[int, ...]) -> Fingerprint:
     return tuple(out)
 
 
-def _check_primes(primes: tuple[int, ...]) -> None:
+def check_fingerprint_primes(primes: tuple[int, ...]) -> None:
+    """Refuse a prime tuple with repeats or an entry <= 2, with ValueError."""
     if len(set(primes)) != len(primes):
         raise ValueError("fingerprint primes must be pairwise distinct")
     for q in primes:

@@ -3,6 +3,7 @@ import json
 from click.testing import CliRunner
 
 from polyinj.cli import main
+from polyinj.parser import MAX_NESTING
 
 
 def run(args, **kw):
@@ -96,6 +97,11 @@ def test_domain_error_exit_1_structured():
     res2 = run(["collide", "--poly", "x^^2", "--mode", "int", "--height", "2"])
     assert res2.exit_code == 1
     assert json.loads(res2.stderr)["error"]["type"] == "ParseError"
+    deep = "(" * 400 + "x" + ")" * 400
+    res3 = run(["collide", "--poly", deep, "--mode", "int", "--height", "2"])
+    assert res3.exit_code == 1
+    err = json.loads(res3.stderr)["error"]
+    assert err["type"] == "ParseError" and f"(at offset {MAX_NESTING})" in err["message"]
 
 
 def test_invalid_counts_exit_1_structured():

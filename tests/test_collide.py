@@ -1,17 +1,22 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import allpairs_collision_pairs
+from conftest import allpairs_collision_pairs, random_multipoly
 from polyinj.collide import (
     SearchInterrupted,
     SearchSpace,
+    _phase1_shard,
+    compile_xy_terms,
     enumerate_inputs,
     find_collisions,
+    input_axis,
     naive_collisions,
 )
 from polyinj.parser import parse_poly
+from polyinj.rationals import FINGERPRINT_PRIMES, fingerprint
 
 
 def test_enumerate_inputs_examples():
@@ -105,6 +110,18 @@ def test_determinism_across_shards_and_workers():
     base = find_collisions(poly, space).to_json_text()
     assert find_collisions(poly, space, shards=5).to_json_text() == base
     assert find_collisions(poly, space, shards=7, workers=2).to_json_text() == base
+    # Rational boxes, also with tiny primes that force phase 1's exact
+    # fallback on some inputs (q = 5 against 1/5, axis denominators 5).
+    space = SearchSpace("rationals", 5)
+    for text in ["1/5*x^2 + 1/7*y + 1/3*x*y", "x*y"]:
+        poly = parse_poly(text)
+        for primes in (FINGERPRINT_PRIMES, (5, 7)):
+            rep = find_collisions(poly, space, primes=primes)
+            assert rep.pairs == naive_collisions(poly, space).pairs
+            base = rep.to_json_text()
+            for shards, workers in ((7, 2), (13, 2), (11, 1)):
+                assert find_collisions(poly, space, shards=shards, workers=workers,
+                                       primes=primes).to_json_text() == base
 
 
 def test_rational_mode_collisions():
@@ -268,3 +285,66 @@ def test_engine_matches_oracle_on_random_polys():
         assert fast.pairs == slow.pairs, (poly.render(), space)
         assert fast.values == slow.values
         checked += 1
+
+
+def _phase1_box(poly, space, primes, cuts=()):
+    """Phase 1 over the whole box, run as shards split at the given indices."""
+    rows = compile_xy_terms(poly)
+    n = len(input_axis(space))
+    bounds = [0, *cuts, n * n]
+    out = []
+    for start, end in zip(bounds, bounds[1:]):
+        out += _phase1_shard((rows, space.mode, space.height, start, end, primes))
+    return out
+
+
+def test_phase1_residues_equal_exact_fingerprints():
+    # The residue kernel must give every input exactly the fingerprint of its
+    # exact value, including the inputs it has to evaluate exactly: tiny
+    # primes dividing a coefficient denominator (1/5 against q = 5) or an
+    # axis denominator (rationals of height >= 5).
+    rng = random.Random(11)
+    polys = [
+        parse_poly("0"),
+        parse_poly("-7/3"),
+        parse_poly("x^7 + 3*y^7"),
+        parse_poly("1/5*x^2 + 1/7*y + 1/3*x*y"),
+        parse_poly("1/3*x^2*y - y^4 + 2/11"),
+    ]
+    while len(polys) < 14:
+        poly = random_multipoly(rng, max_terms=5, max_exp=6)
+        if set(poly.vars) <= {"x", "y"}:
+            polys.append(poly)
+    spaces = [SearchSpace("integers", 4), SearchSpace("rationals", 3),
+              SearchSpace("rationals", 6)]
+    for poly in polys:
+        for space in spaces:
+            axis = input_axis(space)
+            n = len(axis)
+            for primes in (FINGERPRINT_PRIMES, (5, 7)):
+                want = [(fingerprint(poly.eval_xy(axis[i // n], axis[i % n]), primes), i)
+                        for i in range(n * n)]
+                assert _phase1_box(poly, space, primes) == want, (poly.render(), space, primes)
+                # Shard bounds inside rows, and a one-input shard.
+                cuts = (n // 2, n // 2 + 1, 2 * n + 3, n * n - n - 1)
+                assert _phase1_box(poly, space, primes, cuts) == want
+
+
+def test_phase1_default_primes_never_evaluate_exactly(monkeypatch):
+    import polyinj.collide as collide_mod
+
+    def refuse(*args):
+        raise AssertionError("exact fallback ran")
+
+    monkeypatch.setattr(collide_mod, "fingerprint_value", refuse)
+    poly = parse_poly("1/5*x^2 + 1/7*y + 1/3*x*y")
+    for space in (SearchSpace("integers", 5), SearchSpace("rationals", 7)):
+        assert len(_phase1_box(poly, space, FINGERPRINT_PRIMES, (17,))) == len(
+            input_axis(space)) ** 2
+
+
+def test_bad_prime_tuples_refused_at_entry():
+    poly = parse_poly("x^3 + y^3")
+    for primes in [(0,), (7, 7), (2,)]:
+        with pytest.raises(ValueError, match="fingerprint primes"):
+            find_collisions(poly, SearchSpace("integers", 4), primes=primes)

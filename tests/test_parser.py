@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_multipoly
-from polyinj.parser import Add, Lit, Mul, Neg, ParseError, Pow, Var, lower, parse, parse_poly
+from polyinj.parser import (
+    MAX_NESTING,
+    Add,
+    Lit,
+    Mul,
+    Neg,
+    ParseError,
+    Pow,
+    Var,
+    lower,
+    parse,
+    parse_poly,
+)
 from polyinj.poly import MultiPoly
 
 
@@ -96,6 +108,26 @@ def test_long_sums_parse():
     )
     assert len(big.terms) > 2000
     assert parse_poly(big.render()) == big
+
+
+def test_long_products_and_sign_runs_parse():
+    # Products are left-deep Mul chains and are lowered iteratively; a run of
+    # unary minus signs folds by parity instead of nesting.
+    assert parse_poly("*".join(["x"] * 1000)) == MultiPoly(("x",), {(1000,): Fraction(1)})
+    assert parse_poly("-" * 1000 + "x") == parse_poly("x")
+    assert parse_poly("-" * 1001 + "x") == parse_poly("-x")
+    assert parse("---x^2") == Neg(Pow(Var("x"), 2))
+
+
+def test_nesting_limit():
+    at_limit = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(at_limit) == parse_poly("x")
+    sums = "(1 + " * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(sums) == parse_poly(f"x + {MAX_NESTING}")
+    for depth in (MAX_NESTING + 1, 400, 5000):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("(" * depth + "x" + ")" * depth)
+        assert exc.value.offset == MAX_NESTING
 
 
 @settings(max_examples=300, deadline=None)

@@ -121,6 +121,12 @@ def test_scan_rejects_shard_count_outside_inputs():
     assert scan_surface(f, 2, shards=25) == scan_surface(f, 2)
 
 
+def test_scan_rejects_bad_prime_tuple():
+    # The primes go straight to the collision join, which refuses them on entry.
+    with pytest.raises(ValueError, match="fingerprint primes"):
+        scan_surface(form("x^3 + y^3"), 4, primes=(0,))
+
+
 def test_scaling_invariance_unique_canonical():
     # Non-primitive solutions collapse onto one canonical representative.
     ps = scan_surface(form("x^2 + y^2"), 4)
