@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import VAR_ORDER, MultiPoly
 
@@ -29,8 +30,8 @@ from .poly import VAR_ORDER, MultiPoly
 MAX_EXPONENT = 10**6
 
 # The parser recurses once per level of parentheses (four frames a level),
-# and lowering once more; this bound keeps both well below the interpreter's
-# default recursion limit.
+# and lowering up to four frames a level (sum, product, sign, power); this
+# bound keeps both well below the interpreter's default recursion limit.
 MAX_NESTING = 100
 
 
@@ -92,8 +93,7 @@ ExprAST = Lit | Var | Add | Sub | Neg | Mul | Pow
 _OPS = set("+-*^()/")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "var" | an operator character | "end"
     text: str
     offset: int
@@ -107,9 +107,9 @@ def tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Token("int", text[i:j], i))
             i = j
@@ -228,64 +228,94 @@ def parse(text: str) -> ExprAST:
 
 
 def lower(ast: ExprAST) -> MultiPoly:
-    """Expand an AST into a canonical MultiPoly."""
-    if isinstance(ast, Lit):
-        return MultiPoly.const(ast.value)
-    if isinstance(ast, Var):
-        return MultiPoly.variable(ast.name)
-    if isinstance(ast, (Add, Sub)):
-        return _lower_sum(ast)
-    if isinstance(ast, Neg):
-        return -lower(ast.operand)
-    if isinstance(ast, Mul):
-        return _lower_product(ast)
-    if isinstance(ast, Pow):
-        return lower(ast.base) ** ast.exponent
+    """Expand an AST into a canonical MultiPoly, built once from one term dict."""
+    return MultiPoly(VAR_ORDER, _expand(ast))
+
+
+# Term dicts map exponent vectors over the (x, y, z, w) slots to coefficients,
+# kept as ints while they are integers because int products are much cheaper.
+_ONE = (0,) * len(VAR_ORDER)
+_SLOT = {v: tuple(int(u == v) for u in VAR_ORDER) for v in VAR_ORDER}
+
+
+def _expand(ast: ExprAST) -> dict:
+    """The term dict of an AST; the caller owns the returned dict.
+
+    ``parse`` builds sums and products as left-deep chains, one node per
+    operand, so both are walked iteratively.  Only parentheses recurse, one
+    frame per node between two levels, and MAX_NESTING bounds their depth.
+    """
+    kind = type(ast)
+    if kind is Var:
+        return {_SLOT[ast.name]: 1}
+    if kind is Pow:
+        return _pow(_expand(ast.base), ast.exponent)
+    if kind is Lit:
+        v = ast.value
+        return {_ONE: v.numerator if v.denominator == 1 else v} if v else {}
+    if kind is Mul:
+        factors = []
+        while type(ast) is Mul:
+            factors.append(ast.right)
+            ast = ast.left
+        acc = _expand(ast)
+        for factor in reversed(factors):
+            acc = _mul(acc, _expand(factor))
+        return acc
+    if kind is Add or kind is Sub:
+        operands = []
+        while type(ast) is Add or type(ast) is Sub:
+            operands.append((ast.right, type(ast) is Sub))
+            ast = ast.left
+        acc = _expand(ast)
+        for operand, negate in reversed(operands):
+            for e, c in _expand(operand).items():
+                if negate:
+                    c = -c
+                acc[e] = acc[e] + c if e in acc else c
+        return _nonzero(acc)
+    if kind is Neg:
+        return {e: -c for e, c in _expand(ast.operand).items()}
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-def _lower_sum(ast: Add | Sub) -> MultiPoly:
-    """Lower a sum without recursing along its additive spine.
-
-    ``parse`` builds sums as left-deep Add/Sub chains, one node per term, so
-    recursing down the left operands would exhaust the interpreter stack on
-    sums of about a thousand terms.
-    """
-    summands = []
-    node = ast
-    while isinstance(node, (Add, Sub)):
-        rhs = lower(node.right)
-        summands.append(rhs if isinstance(node, Add) else -rhs)
-        node = node.left
-    summands.append(lower(node))
-    summands.reverse()
-    return _combine_pairwise(summands, operator.add)
-
-
-def _lower_product(ast: Mul) -> MultiPoly:
-    """Lower a product along its left-deep Mul chain iteratively, as for sums."""
-    factors = []
-    node = ast
-    while isinstance(node, Mul):
-        factors.append(lower(node.right))
-        node = node.left
-    factors.append(lower(node))
-    factors.reverse()
-    return _combine_pairwise(factors, operator.mul)
+def _mul(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # A monomial factor shifts exponents one-to-one: nothing merges.
+        ((e2, c2),) = b.items()
+        if c2 == 1:
+            return {tuple(map(operator.add, e1, e2)): c1 for e1, c1 in a.items()}
+        return {tuple(map(operator.add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
 
 
-def _combine_pairwise(items: list[MultiPoly], op) -> MultiPoly:
-    """Fold items with op in adjacent pairs, round by round.
+def _nonzero(terms: dict) -> dict:
+    """Drop cancelled terms, so a zero sum stays cheap to multiply or raise."""
+    return {e: c for e, c in terms.items() if c}
 
-    Each operation then stays near the size of its operands instead of
-    copying one ever-growing accumulator per item.
-    """
-    while len(items) > 1:
-        paired = [op(a, b) for a, b in zip(items[::2], items[1::2])]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
+
+def _pow(base: dict, n: int) -> dict:
+    """base ** n by squaring; a one-term base stays one term (0^0 is 1)."""
+    if n == 0:
+        return {_ONE: 1}
+    if len(base) == 1:
+        ((e, c),) = base.items()
+        return {tuple(k * n for k in e): c**n}
+    acc = {_ONE: 1}
+    while n:
+        if n & 1:
+            acc = _mul(acc, base)
+        n >>= 1
+        if n:
+            base = _mul(base, base)
+    return acc
 
 
 def parse_poly(text: str) -> MultiPoly:

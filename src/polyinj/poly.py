@@ -5,12 +5,20 @@ with Fraction coefficients, normalized so that the variable tuple lists
 exactly the variables that actually occur.  BinaryForm is a dense
 homogeneous form F(x, y) stored by coefficient vector.  Everything is
 immutable and exact; serialized term order is graded-lexicographic.
+
+Expansion cost: ``MultiPoly.substitute``, which builds the twisted forms,
+G and f of the construction, works in plain ints over one common
+denominator and adds every product into one dict.  Its cost is linear in
+the size of the output times the number of distinct powers of each image,
+and the result is normalized once: no partial sum is copied or
+renormalized.  The parser's ``lower`` likewise fills one term dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .rationals import rat_from_str, rat_to_str
 
@@ -58,14 +66,16 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != len(vs):
                 raise ValueError(f"exponent {exp} has wrong arity for vars {vs}")
-            if any(e < 0 or not isinstance(e, int) for e in exp):
-                raise ValueError(f"exponents must be nonnegative integers: {exp}")
-            coef = _as_fraction(coef)
-            if coef != 0:
-                cleaned[exp] = cleaned.get(exp, Fraction(0)) + coef
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
+            for e in exp:
+                if not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponents must be nonnegative integers: {exp}")
+            if not isinstance(coef, Fraction):
+                coef = _as_fraction(coef)
+            if coef:
+                cleaned[exp] = cleaned[exp] + coef if exp in cleaned else coef
+        cleaned = {e: c for e, c in cleaned.items() if c}
         # Drop variables that no surviving term uses.
-        used = [i for i in range(len(vs)) if any(e[i] > 0 for e in cleaned)]
+        used = [i for i, top in enumerate(map(max, zip(*cleaned))) if top > 0]
         if len(used) != len(vs):
             vs = tuple(vs[i] for i in used)
             cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
@@ -190,28 +200,74 @@ class MultiPoly:
     def substitute(self, mapping: dict[str, "MultiPoly"]) -> "MultiPoly":
         """Exact composition: replace each variable by the mapped polynomial.
 
-        Every variable of this polynomial must be in the mapping.
+        Every variable of this polynomial must be in the mapping.  The
+        expansion runs over integers: each image is written once as integer
+        numerators N_v over its denominator d_v, and the whole result is
+        scaled by L = lcm(own denominators) * prod d_v^(max exponent of v),
+        so every product is an int product and the result is divided by L
+        once per output term.  Terms are grouped by the exponent of their
+        first variable and the rest is expanded recursively, so each
+        distinct power of an image multiplies one inner polynomial.  The
+        cost is linear in the size of the output times the number of
+        distinct powers, with no renormalization of partial sums.
         """
         for v in self.vars:
             if v not in mapping:
                 raise ValueError(f"substitution does not map variable {v!r}")
-        # Cache successive powers of each image as they get used.
-        pow_cache: dict[str, list[MultiPoly]] = {v: [MultiPoly.const(1)] for v in self.vars}
+        if not self.terms:
+            return MultiPoly.zero()
+        images = [mapping[v] for v in self.vars]
+        top = list(map(max, zip(*self.terms)))
+        out_vars = tuple(
+            sorted({u for m in images for u in m.vars}, key=_VAR_INDEX.get)
+        )
+        # Exponents over out_vars packed into one int, a fixed bit field per
+        # variable wide enough for the largest exponent the result can have,
+        # so adding packed exponents never carries between fields.
+        bounds = [0] * len(out_vars)
+        for m, k in zip(images, top):
+            for u, deg in zip(m.vars, map(max, zip(*m.terms))):
+                bounds[out_vars.index(u)] += k * deg
+        shifts = []
+        width = 0
+        for b in bounds:
+            shifts.append(width)
+            width += b.bit_length()
 
-        def image_pow(v: str, k: int) -> MultiPoly:
-            row = pow_cache[v]
-            while len(row) <= k:
-                row.append(row[-1] * mapping[v])
-            return row[k]
+        def pack(vs, e) -> int:
+            return sum(ej << shifts[out_vars.index(u)] for u, ej in zip(vs, e))
 
-        acc = MultiPoly.zero()
-        for e, c in self.terms.items():
-            t = MultiPoly.const(c)
-            for v, k in zip(self.vars, e):
-                if k:
-                    t = t * image_pow(v, k)
-            acc = acc + t
-        return acc
+        scale = 1  # L
+        powers = []  # per variable: exponent k -> N_v^k * d_v^(top - k), packed
+        for i, (m, k) in enumerate(zip(images, top)):
+            d = lcm(*(c.denominator for c in m.terms.values()))
+            num = {pack(m.vars, e): c.numerator * (d // c.denominator)
+                   for e, c in m.terms.items()}
+            powers.append(_scaled_powers(num, d, {e[i] for e in self.terms}, k))
+            scale *= d**k
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        scale *= den
+        items = [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()]
+
+        def expand(items, i: int) -> dict[int, int]:
+            """sum of c * prod_{j >= i} powers[j][e_j] over the items, packed."""
+            if i == len(powers):
+                return {0: sum(c for _, c in items)}
+            groups: dict[int, list] = {}
+            for item in items:
+                groups.setdefault(item[0][i], []).append(item)
+            acc: dict[int, int] = {}
+            for k, group in groups.items():
+                _mul_into(acc, powers[i][k], expand(group, i + 1))
+            return acc
+
+        masks = [(s, (1 << b.bit_length()) - 1) for s, b in zip(shifts, bounds)]
+        terms = {
+            tuple((key >> s) & mask for s, mask in masks): Fraction(n, scale)
+            for key, n in expand(items, 0).items()
+            if n
+        }
+        return MultiPoly(out_vars, terms)
 
     def partial(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to var."""
@@ -289,6 +345,55 @@ def _reindex(p: MultiPoly, vs: tuple[str, ...]) -> dict:
             ne[pos[v]] = k
         out[tuple(ne)] = c
     return out
+
+
+def _scaled_powers(num: dict[int, int], d: int, ks, top: int) -> dict[int, dict[int, int]]:
+    """N^k * d^(top - k) for each k in ks, with N a packed integer polynomial.
+
+    The powers are built in increasing order, each from the one before it
+    times N^gap, and the few distinct gap powers are cached.
+    """
+    out = {}
+    gaps: dict[int, dict[int, int]] = {}
+    prev, power = 0, {0: 1}
+    for k in sorted(ks):
+        if k > prev:
+            step = gaps.get(k - prev)
+            if step is None:
+                step = gaps[k - prev] = _int_pow(num, k - prev)
+            nxt: dict[int, int] = {}
+            _mul_into(nxt, power, step)
+            prev, power = k, nxt
+        f = d ** (top - k)
+        out[k] = {e: c * f for e, c in power.items()}
+    return out
+
+
+def _int_pow(num: dict[int, int], n: int) -> dict[int, int]:
+    """num ** n by repeated squaring, over packed exponents."""
+    result: dict[int, int] = {0: 1}
+    while n:
+        if n & 1:
+            prod: dict[int, int] = {}
+            _mul_into(prod, result, num)
+            result = prod
+        n >>= 1
+        if n:
+            sq: dict[int, int] = {}
+            _mul_into(sq, num, num)
+            num = sq
+    return result
+
+
+def _mul_into(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """acc += a * b over packed exponents."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = acc.get
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
 
 
 def _coef_str(c: Fraction) -> str:

@@ -3,7 +3,7 @@
 Rationals are ``fractions.Fraction`` throughout: the stdlib type already
 keeps the canonical form this project relies on (gcd-reduced, positive
 denominator, zero stored as 0/1).  This module adds the pieces Fraction
-does not have: the naive height, exact p-th roots, a trial-division
+does not have: the naive height, exact p-th roots, a Miller-Rabin
 primality test, the "num/den" wire format, and residue fingerprints used to
 accelerate exact-equality joins.
 
@@ -17,6 +17,7 @@ confirms candidate matches with exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = Fraction
 
@@ -61,12 +62,23 @@ def fingerprint(r: Fraction | int, primes: tuple[int, ...]) -> Fingerprint:
 
 
 def check_fingerprint_primes(primes: tuple[int, ...]) -> None:
-    """Refuse a prime tuple with repeats or an entry <= 2, with ValueError."""
+    """Refuse a prime tuple with repeats, an entry <= 2 or a composite entry.
+
+    Raises ValueError.  The verdict for each tuple is cached, so the
+    primality tests run once per tuple, not once per fingerprint.
+    """
+    _check_primes(tuple(primes))
+
+
+@lru_cache(maxsize=64)
+def _check_primes(primes: tuple[int, ...]) -> None:
     if len(set(primes)) != len(primes):
         raise ValueError("fingerprint primes must be pairwise distinct")
     for q in primes:
         if q <= 2:
             raise ValueError(f"fingerprint primes must be > 2, got {q}")
+        if not is_prime(q):
+            raise ValueError(f"fingerprint primes must be prime, got {q}")
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -95,15 +107,36 @@ def int_nth_root(n: int, k: int) -> int | None:
     return r if r ** k == n else None
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality for every
+# n < 3317044064679887385961981 (about 3.3e24), the smallest strong
+# pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, for the small primes of p-th powers and F_p."""
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24.
+
+    Above that bound it is a strong probable-prime test to 13 bases.
+    """
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

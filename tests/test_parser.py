@@ -13,6 +13,7 @@ from polyinj.parser import (
     Neg,
     ParseError,
     Pow,
+    Sub,
     Var,
     lower,
     parse,
@@ -59,7 +60,8 @@ def test_rational_literals():
 
 
 def test_error_cases():
-    for bad in ["", "  ", "3y", "x y", "q", "x**2", "(x", "x)", "1+", "^2", "x^", "x^y", "x^(2)"]:
+    for bad in ["", "  ", "3y", "x y", "q", "x**2", "(x", "x)", "1+", "^2", "x^", "x^y", "x^(2)",
+                "x^\u00b2", "\u00b2"]:
         with pytest.raises(ParseError):
             parse(bad)
 
@@ -128,6 +130,72 @@ def test_nesting_limit():
         with pytest.raises(ParseError) as exc:
             parse_poly("(" * depth + "x" + ")" * depth)
         assert exc.value.offset == MAX_NESTING
+
+
+def _ast_value(node, point: dict) -> Fraction:
+    """Value of a parse() AST at a point, computed directly in Fraction."""
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Var):
+        return point[node.name]
+    if isinstance(node, Neg):
+        return -_ast_value(node.operand, point)
+    if isinstance(node, Pow):
+        return _ast_value(node.base, point) ** node.exponent
+    left, right = _ast_value(node.left, point), _ast_value(node.right, point)
+    if isinstance(node, Add):
+        return left + right
+    if isinstance(node, Sub):
+        return left - right
+    assert isinstance(node, Mul), node
+    return left * right
+
+
+def _random_expr(rng: random.Random, depth: int) -> str:
+    """A well-formed expression; composite operands are parenthesized."""
+    if depth == 0 or rng.random() < 0.1:
+        leaf = rng.randrange(4)
+        if leaf < 2:
+            return rng.choice("xyzw")
+        if leaf == 2:
+            return str(rng.randint(0, 12))
+        return f"{rng.randint(0, 12)}/{rng.randint(1, 9)}"
+
+    def sub() -> str:
+        return f"({_random_expr(rng, depth - 1)})"
+
+    kind = rng.choices(range(6), weights=(4, 2, 2, 1, 1, 1))[0]
+    if kind == 0:  # sum or difference, with unary minus runs on some terms
+        text = sub()
+        for _ in range(rng.randint(1, 3)):
+            text += rng.choice([" + ", " - "]) + "-" * rng.choice([0, 0, 1, 2, 3]) + sub()
+        return text
+    if kind == 1:
+        return "*".join(sub() for _ in range(rng.randint(2, 3)))
+    if kind == 2:  # power of a sum
+        return f"({sub()} {rng.choice('+-')} {sub()})^{rng.randint(0, 3)}"
+    if kind == 3:
+        return "-" * rng.randint(1, 5) + sub() + f"^{rng.randint(1, 2)}"
+    if kind == 4:  # redundant parentheses
+        k = rng.randint(1, 4)
+        return "(" * k + _random_expr(rng, depth - 1) + ")" * k
+    # zero or a constant: e minus itself, plus a literal
+    e = sub()
+    return f"{e} - {e} + {rng.randint(0, 3)}"
+
+
+def test_lower_matches_ast_oracle():
+    rng = random.Random(4242)
+    results = set()
+    for _ in range(300):
+        text = _random_expr(rng, rng.randint(1, 4))
+        ast = parse(text)
+        poly = parse_poly(text)
+        for _ in range(3):
+            pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in "xyzw"}
+            assert poly.evaluate(tuple(pt[v] for v in poly.vars)) == _ast_value(ast, pt), text
+        results.add("zero" if poly.is_zero() else "constant" if not poly.vars else "other")
+    assert results == {"zero", "constant", "other"}
 
 
 @settings(max_examples=300, deadline=None)

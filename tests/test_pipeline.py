@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -86,6 +87,23 @@ def test_make_f_composes_with_eval():
     for _ in range(10):
         s, t = random_rational(rng, 6), random_rational(rng, 6)
         assert f.eval_xy(s, t) == g.eval_xy(a * s**5 + b, a * t**5 + b)
+
+
+def test_make_f_with_fractional_a_b_matches_evaluation():
+    rng = random.Random(37)
+    a, b = Fraction(3, 7), Fraction(-2, 5)
+    g = make_G(form("x^3 + 2*y^3"), 5)
+    f = make_f(g, a, b, 5)
+    for _ in range(10):
+        s, t = random_rational(rng, 9), random_rational(rng, 9)
+        assert f.eval_xy(s, t) == g.eval_xy(a * s**5 + b, a * t**5 + b)
+    # make_f maps all four variables.
+    g4 = parse_poly("1/2*x*w^2 - 3*y*z + z^3 - 4/9")
+    f4 = make_f(g4, a, b, 3)
+    for _ in range(10):
+        pt = [random_rational(rng, 9) for _ in range(4)]
+        images = [a * v**3 + b for v in pt]
+        assert f4.evaluate(pt) == g4.evaluate(images)
 
 
 def test_pth_power_map_injective_on_samples():
@@ -186,3 +204,17 @@ def test_build_independent_of_worker_count():
     serial = build_injection(form("x^3 + y^3"), height_bound=6, rng_seed=11, workers=1)
     parallel = build_injection(form("x^3 + y^3"), height_bound=6, rng_seed=11, workers=2)
     assert serial.to_json_text() == parallel.to_json_text()
+
+
+def test_trace_bytes_pinned():
+    # sha256 of the serialized traces, unchanged since the expansion moved
+    # to integer arithmetic.
+    cases = [
+        (dict(height_bound=10, rng_seed=1),
+         "787530ebeac8e700c144936aead69496d79f548b604d0020f7faae34d247f1d5"),
+        (dict(height_bound=12, rng_seed=1, max_twists=1),
+         "1e2e307f6addeae20a46a7d31662caf71b7de8518467321ab352f960be015c91"),
+    ]
+    for kwargs, digest in cases:
+        trace = build_injection(form("x^3 + y^3"), workers=1, **kwargs)
+        assert hashlib.sha256(trace.to_json_text().encode()).hexdigest() == digest, kwargs

@@ -116,6 +116,53 @@ def test_substitute_is_ring_homomorphism_on_samples():
             assert at(prod_s) == at(ps) * at(qs)
 
 
+def _value_at(poly: MultiPoly, point: dict) -> Fraction:
+    return poly.evaluate(tuple(point[v] for v in poly.vars))
+
+
+def _random_image(rng: random.Random) -> MultiPoly:
+    """An image for substitution: zero, a constant, or a random polynomial."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return MultiPoly.zero()
+    if kind == 1:
+        return MultiPoly.const(random_rational(rng, 9) or 1)
+    return random_multipoly(rng, max_terms=4, max_exp=3)
+
+
+def test_substitute_matches_evaluation_oracle():
+    # g(images) at a point must equal g at the images' values there.
+    rng = random.Random(2024)
+    variables = ("x", "y", "z", "w")
+    for nvars in (1, 2, 3, 4):
+        for _ in range(40):
+            vs = variables[:nvars]
+            terms = {
+                tuple(rng.randint(0, 4) for _ in vs): random_rational(rng, 12) or 1
+                for _ in range(rng.randint(1, 6))
+            }
+            g = MultiPoly(vs, terms)
+            mapping = {v: _random_image(rng) for v in g.vars}
+            composed = g.substitute(mapping)
+            for _ in range(3):
+                pt = {v: random_rational(rng, 7) for v in variables}
+                values = {v: _value_at(m, pt) for v, m in mapping.items()}
+                assert _value_at(composed, pt) == _value_at(g, values)
+
+
+def test_substitute_edge_images():
+    g = parse_poly("3/2*x^3*y - x*y^2 + 5")
+    assert g.substitute({"x": MultiPoly.zero(), "y": parse_poly("y")}) == parse_poly("5")
+    assert g.substitute({"x": parse_poly("2"), "y": parse_poly("-1/3")}) == MultiPoly.const(
+        Fraction(3, 2) * 8 * Fraction(-1, 3) - 2 * Fraction(1, 9) + 5
+    )
+    # Images whose contributions cancel leave no variables behind.
+    z2 = parse_poly("z^2")
+    assert parse_poly("x - y").substitute({"x": z2, "y": z2}).is_zero()
+    assert MultiPoly.zero().substitute({}).is_zero()
+    assert parse_poly("7/3").substitute({}) == parse_poly("7/3")
+
+
 def test_zero_form_rejected_multipoly_allows_zero():
     assert MultiPoly.zero().is_zero()
     with pytest.raises(ValueError):

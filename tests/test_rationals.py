@@ -18,26 +18,15 @@ from polyinj.rationals import (
 )
 
 
-def _miller_rabin(n: int) -> bool:
-    # Deterministic for n < 3.3e24 with these witnesses.
+def _trial_division(n: int) -> bool:
+    # Oracle for small n, independent of the Miller-Rabin test under check.
     if n < 2:
         return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
             return False
+        k += 1
     return True
 
 
@@ -64,6 +53,10 @@ def test_fingerprint_prime_validation():
         fingerprint(Fraction(1), (7, 7))
     with pytest.raises(ValueError):
         fingerprint(Fraction(1), (2, 5))
+    with pytest.raises(ValueError, match="prime"):
+        fingerprint(Fraction(1, 3), (9,))
+    with pytest.raises(ValueError, match="prime"):
+        fingerprint(Fraction(1), FINGERPRINT_PRIMES + (FINGERPRINT_PRIMES[0] + 2,))
 
 
 def test_default_primes_are_prime_distinct_wordsized():
@@ -71,7 +64,7 @@ def test_default_primes_are_prime_distinct_wordsized():
     assert FINGERPRINT_PRIMES == FINGERPRINT_PRIMES_EXTENDED[:2]
     for q in FINGERPRINT_PRIMES_EXTENDED:
         assert q.bit_length() == 62
-        assert _miller_rabin(q)
+        assert is_prime(q)
 
 
 def test_height():
@@ -143,9 +136,25 @@ def test_int_nth_root_matches_definition(n, k):
         assert r**k == n
 
 
-def test_is_prime_matches_miller_rabin():
+def test_is_prime_matches_trial_division():
     for n in range(-5, 3000):
-        assert is_prime(n) == _miller_rabin(n), n
+        assert is_prime(n) == _trial_division(n), n
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(3000, 10**9)
+        assert is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Carmichael numbers, and the smallest strong pseudoprimes to the bases
+    # 2..23 and 2..37: each needs a later base to be caught.
+    for n in (561, 1105, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    # Primes just below 2^64 and 2^89 - 1 (a Mersenne prime).
+    assert is_prime(2**64 - 59)
+    assert is_prime(2**89 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
 def test_pth_root():
