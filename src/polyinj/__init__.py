@@ -32,7 +32,6 @@ from .rationals import (
     FINGERPRINT_PRIMES,
     FINGERPRINT_PRIMES_EXTENDED,
     Rational,
-    canonicalize,
     fingerprint,
     height,
     pth_root,
@@ -58,7 +57,6 @@ __all__ = [
     "Rational",
     "SearchSpace",
     "build_injection",
-    "canonicalize",
     "choose_prime",
     "classify",
     "enumerate_inputs",

@@ -105,16 +105,7 @@ def input_axis(space: SearchSpace) -> tuple:
 
 def compile_xy_terms(poly: MultiPoly) -> list[tuple[int, int, int, int]]:
     """Flatten a polynomial in variables within {x,y} to (ex, ey, num, den) rows."""
-    if not set(poly.vars) <= {"x", "y"}:
-        raise ValueError(f"collision search needs variables within (x, y), got {poly.vars}")
-    ix = poly.vars.index("x") if "x" in poly.vars else None
-    iy = poly.vars.index("y") if "y" in poly.vars else None
-    rows = []
-    for e, c in poly.sorted_terms():
-        ex = e[ix] if ix is not None else 0
-        ey = e[iy] if iy is not None else 0
-        rows.append((ex, ey, c.numerator, c.denominator))
-    return rows
+    return [(ex, ey, c.numerator, c.denominator) for ex, ey, c in poly.xy_terms()]
 
 
 def make_evaluator(rows, integer_inputs: bool):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .rationals import is_prime
 
@@ -140,15 +141,6 @@ class FpPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        return FpPoly(self.p, padd(self.coeffs, other.coeffs, self.p))
-
-    def __sub__(self, other):
-        return FpPoly(self.p, psub(self.coeffs, other.coeffs, self.p))
-
-    def __mul__(self, other):
-        return FpPoly(self.p, pmul(self.coeffs, other.coeffs, self.p))
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
@@ -261,14 +253,6 @@ class FpRatFun:
             FpPoly(p, pfrob(self.den.coeffs, p)),
         )
 
-    def derivative(self) -> "FpRatFun":
-        """d/dt via the quotient rule."""
-        p = self.p
-        n, d = self.num.coeffs, self.den.coeffs
-        num = psub(pmul(pderiv(n, p), d, p), pmul(n, pderiv(d, p), p), p)
-        den = pmul(d, d, p)
-        return FpRatFun(FpPoly(p, num), FpPoly(p, den))
-
     def __str__(self) -> str:
         return f"{self.num};{self.den}"
 
@@ -334,13 +318,17 @@ def verify_injection(
     )
 
 
-def _random_ratfun(rng: random.Random, p: int, degree_bound: int) -> FpRatFun:
+def _random_coeffs(rng: random.Random, p: int, degree_bound: int) -> tuple[Coeffs, Coeffs]:
+    """num and den coefficients of one random rational function; den is nonzero."""
     num = tuple(rng.randrange(p) for _ in range(degree_bound + 1))
     while True:
         den = tuple(rng.randrange(p) for _ in range(degree_bound + 1))
         if any(den):
-            break
-    return FpRatFun.from_coeffs(p, num, den)
+            return num, den
+
+
+# Trials handed to each worker per round; bounds the drawn coefficients held.
+_BATCH = 4096
 
 
 def ff_collision_search(
@@ -355,7 +343,8 @@ def ff_collision_search(
 
     Draws pairs of random rational functions with num/den degrees up to the
     bound and asserts that distinct inputs always produce distinct values.
-    Trials split across workers with derived seeds; counts are merged.
+    Every trial's coefficients come from one Random(seed), in trial order,
+    so the report does not depend on workers: they only build and verify.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -363,43 +352,37 @@ def ff_collision_search(
         raise ValueError("degree bound must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    draws = (
+        tuple(_random_coeffs(rng, p, degree_bound) for _ in range(4)) for _ in range(trials)
+    )
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        per = [trials // workers] * workers
-        for i in range(trials % workers):
-            per[i] += 1
-        payloads = [
-            (p, degree_bound, n, seed + 1000003 * i) for i, n in enumerate(per) if n
-        ]
+        equal_inputs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_search_chunk, payloads))
-        equal_inputs = sum(c[0] for c in parts)
-        distinct = sum(c[1] for c in parts)
+            while batch := list(islice(draws, workers * _BATCH)):
+                size = -(-len(batch) // workers)
+                chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
+                equal_inputs += sum(pool.map(_count_equal_inputs, repeat(p), chunks))
     else:
-        equal_inputs, distinct = _search_chunk((p, degree_bound, trials, seed))
+        equal_inputs = _count_equal_inputs(p, draws)
     return {
         "p": p,
         "degree_bound": degree_bound,
         "trials": trials,
         "seed": seed,
         "equal_inputs": equal_inputs,
-        "distinct_values": distinct,
+        "distinct_values": trials - equal_inputs,
         "collisions": 0,
     }
 
 
-def _search_chunk(payload) -> tuple[int, int]:
-    p, degree_bound, trials, seed = payload
-    rng = random.Random(seed)
-    equal_inputs = 0
-    distinct = 0
-    for _ in range(trials):
-        pair1 = (_random_ratfun(rng, p, degree_bound), _random_ratfun(rng, p, degree_bound))
-        pair2 = (_random_ratfun(rng, p, degree_bound), _random_ratfun(rng, p, degree_bound))
-        result = verify_injection(p, pair1, pair2)
-        if result.is_equal_inputs:
-            equal_inputs += 1
-        else:
-            distinct += 1
-    return equal_inputs, distinct
+def _count_equal_inputs(p: int, draws) -> int:
+    """Build and verify each drawn trial; return how many had equal inputs."""
+    count = 0
+    for coeffs in draws:
+        x1, y1, x2, y2 = (FpRatFun.from_coeffs(p, num, den) for num, den in coeffs)
+        if verify_injection(p, (x1, y1), (x2, y2)).is_equal_inputs:
+            count += 1
+    return count

@@ -75,15 +75,9 @@ class PadicApprox:
 
 def _univariate_in_y(f: MultiPoly, x_value: Fraction) -> tuple[Fraction, ...]:
     """Coefficients of y -> f(x_value, y), low degree first."""
-    if not set(f.vars) <= {"x", "y"}:
-        raise ValueError(f"expected a polynomial in (x, y), got variables {f.vars}")
-    ix = f.vars.index("x") if "x" in f.vars else None
-    iy = f.vars.index("y") if "y" in f.vars else None
-    max_ey = max((e[iy] for e in f.terms), default=0) if iy is not None else 0
-    coeffs = [Fraction(0)] * (max_ey + 1)
-    for e, c in f.terms.items():
-        ex = e[ix] if ix is not None else 0
-        ey = e[iy] if iy is not None else 0
+    rows = f.xy_terms()
+    coeffs = [Fraction(0)] * (max((ey for _, ey, _ in rows), default=0) + 1)
+    for ex, ey, c in rows:
         coeffs[ey] += c * x_value**ex
     return utrim(coeffs)
 
@@ -116,11 +110,11 @@ def real_collision(
         raise ValueError("delta must be nonzero: the returned point must differ in x")
     if f.total_degree() <= 0:
         raise ValueError("f must be nonconstant")
+    x1 = x0 + Fraction(delta)
+    g_exact = _univariate_in_y(f, x1)  # refuses z and w before the screen
     _screen_partial_y(f, x0, y0)
 
     c = f.eval_xy(x0, y0)
-    x1 = x0 + Fraction(delta)
-    g_exact = _univariate_in_y(f, x1)
     # g(y) = f(x1, y) - c, as float coefficients for the numeric stage.
     g_exact = utrim((g_exact[0] - c,) + g_exact[1:]) if g_exact else utrim([-c])
     g = [float(cf) for cf in g_exact]

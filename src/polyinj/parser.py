@@ -18,12 +18,20 @@ exhausts the interpreter stack.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import VAR_ORDER, MultiPoly
+from .poly import (
+    CONST_EXP,
+    VAR_EXP,
+    VAR_ORDER,
+    MultiPoly,
+    add_terms,
+    mul_terms,
+    nonzero_terms,
+    pow_terms,
+)
 
 # Expanding a parsed expression must stay desk-sized; exponents past this
 # would hang the expander long before anything useful happened.
@@ -232,14 +240,8 @@ def lower(ast: ExprAST) -> MultiPoly:
     return MultiPoly(VAR_ORDER, _expand(ast))
 
 
-# Term dicts map exponent vectors over the (x, y, z, w) slots to coefficients,
-# kept as ints while they are integers because int products are much cheaper.
-_ONE = (0,) * len(VAR_ORDER)
-_SLOT = {v: tuple(int(u == v) for u in VAR_ORDER) for v in VAR_ORDER}
-
-
 def _expand(ast: ExprAST) -> dict:
-    """The term dict of an AST; the caller owns the returned dict.
+    """The term dict (see ``poly``) of an AST; the caller owns the returned dict.
 
     ``parse`` builds sums and products as left-deep chains, one node per
     operand, so both are walked iteratively.  Only parentheses recurse, one
@@ -247,12 +249,12 @@ def _expand(ast: ExprAST) -> dict:
     """
     kind = type(ast)
     if kind is Var:
-        return {_SLOT[ast.name]: 1}
+        return {VAR_EXP[ast.name]: 1}
     if kind is Pow:
-        return _pow(_expand(ast.base), ast.exponent)
+        return pow_terms(_expand(ast.base), ast.exponent)
     if kind is Lit:
         v = ast.value
-        return {_ONE: v.numerator if v.denominator == 1 else v} if v else {}
+        return {CONST_EXP: v.numerator if v.denominator == 1 else v} if v else {}
     if kind is Mul:
         factors = []
         while type(ast) is Mul:
@@ -260,62 +262,20 @@ def _expand(ast: ExprAST) -> dict:
             ast = ast.left
         acc = _expand(ast)
         for factor in reversed(factors):
-            acc = _mul(acc, _expand(factor))
+            acc = mul_terms(acc, _expand(factor))
         return acc
     if kind is Add or kind is Sub:
         operands = []
         while type(ast) is Add or type(ast) is Sub:
-            operands.append((ast.right, type(ast) is Sub))
+            operands.append((ast.right, -1 if type(ast) is Sub else 1))
             ast = ast.left
         acc = _expand(ast)
-        for operand, negate in reversed(operands):
-            for e, c in _expand(operand).items():
-                if negate:
-                    c = -c
-                acc[e] = acc[e] + c if e in acc else c
-        return _nonzero(acc)
+        for operand, sign in reversed(operands):
+            add_terms(acc, _expand(operand), sign)
+        return nonzero_terms(acc)
     if kind is Neg:
         return {e: -c for e, c in _expand(ast.operand).items()}
     raise TypeError(f"not an expression node: {ast!r}")
-
-
-def _mul(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        # A monomial factor shifts exponents one-to-one: nothing merges.
-        ((e2, c2),) = b.items()
-        if c2 == 1:
-            return {tuple(map(operator.add, e1, e2)): c1 for e1, c1 in a.items()}
-        return {tuple(map(operator.add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return _nonzero(out)
-
-
-def _nonzero(terms: dict) -> dict:
-    """Drop cancelled terms, so a zero sum stays cheap to multiply or raise."""
-    return {e: c for e, c in terms.items() if c}
-
-
-def _pow(base: dict, n: int) -> dict:
-    """base ** n by squaring; a one-term base stays one term (0^0 is 1)."""
-    if n == 0:
-        return {_ONE: 1}
-    if len(base) == 1:
-        ((e, c),) = base.items()
-        return {tuple(k * n for k in e): c**n}
-    acc = {_ONE: 1}
-    while n:
-        if n & 1:
-            acc = _mul(acc, base)
-        n >>= 1
-        if n:
-            base = _mul(base, base)
-    return acc
 
 
 def parse_poly(text: str) -> MultiPoly:

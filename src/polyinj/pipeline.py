@@ -50,15 +50,21 @@ def _det(m) -> Fraction:
     return Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
 
 
+def _check_exponent(p: int) -> None:
+    # The images below list t^p and t^0 as separate terms, so p = 0 would
+    # silently merge them.
+    if p < 1:
+        raise ValueError(f"exponent p must be >= 1, got {p}")
+
+
 def twist(form: BinaryForm, matrix, p: int) -> BinaryForm:
     """F(x,y) -> F(a x^p + b y^p, c x^p + d y^p) for an invertible 2x2 matrix."""
+    _check_exponent(p)
     if _det(matrix) == 0:
         raise ValueError("twist matrix is singular")
     (a, b), (c, d) = matrix
-    xp = MultiPoly.variable("x") ** p
-    yp = MultiPoly.variable("y") ** p
-    u = xp.scale(a) + yp.scale(b)
-    v = xp.scale(c) + yp.scale(d)
+    u = MultiPoly(("x", "y"), {(p, 0): a, (0, p): b})
+    v = MultiPoly(("x", "y"), {(p, 0): c, (0, p): d})
     composed = form.to_multipoly().substitute({"x": u, "y": v})
     out = BinaryForm.from_multipoly(composed)
     assert out.degree == form.degree * p
@@ -67,9 +73,9 @@ def twist(form: BinaryForm, matrix, p: int) -> BinaryForm:
 
 def make_G(form: BinaryForm, p: int) -> MultiPoly:
     """G(x, y) = F(x^p + 1, y^p + 1), fully expanded."""
-    one = MultiPoly.const(1)
-    u = MultiPoly.variable("x") ** p + one
-    v = MultiPoly.variable("y") ** p + one
+    _check_exponent(p)
+    u = MultiPoly(("x",), {(p,): 1, (0,): 1})
+    v = MultiPoly(("y",), {(p,): 1, (0,): 1})
     return form.to_multipoly().substitute({"x": u, "y": v})
 
 
@@ -79,14 +85,11 @@ def make_f(g: MultiPoly, a: Fraction, b: Fraction, p: int) -> MultiPoly:
     With p odd and a != 0 the inner map t -> a t^p + b is injective on Q,
     which is the whole point of the outer composition.
     """
+    _check_exponent(p)
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("coefficient a must be nonzero: a*t^p + b must be injective")
-    bb = MultiPoly.const(b)
-    mapping = {
-        v: (MultiPoly.variable(v) ** p).scale(a) + bb for v in ("x", "y", "z", "w")
-    }
-    return g.substitute({v: mapping[v] for v in g.vars})
+    return g.substitute({v: MultiPoly((v,), {(p,): a, (0,): b}) for v in g.vars})
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,25 @@ exactly the variables that actually occur.  BinaryForm is a dense
 homogeneous form F(x, y) stored by coefficient vector.  Everything is
 immutable and exact; serialized term order is graded-lexicographic.
 
+The exponent layout lives here and nowhere else.  One term-dict kernel
+(``add_terms``, ``mul_terms``, ``pow_terms``, ``nonzero_terms``) computes
+over exponent vectors in the fixed (x, y, z, w) slots.  MultiPoly's ``+``,
+``-`` and ``*`` lift their operands to the slots, and the parser's
+``lower`` expands its AST there; both build one MultiPoly at the end, and
+its constructor drops the slots that no term uses.  Other modules read a
+polynomial in x and y through ``MultiPoly.xy_terms``.
+
 Expansion cost: ``MultiPoly.substitute``, which builds the twisted forms,
 G and f of the construction, works in plain ints over one common
 denominator and adds every product into one dict.  Its cost is linear in
 the size of the output times the number of distinct powers of each image,
 and the result is normalized once: no partial sum is copied or
-renormalized.  The parser's ``lower`` likewise fills one term dict.
+renormalized.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -39,6 +48,67 @@ def _as_fraction(c) -> Fraction:
 
 def _gradlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
+
+
+# -- the term-dict kernel -----------------------------------------------------
+# A term dict maps exponent vectors over the fixed (x, y, z, w) slots to
+# coefficients, kept as ints while they are integers because int products
+# are much cheaper than Fraction ones.
+
+CONST_EXP = (0,) * len(VAR_ORDER)
+VAR_EXP = {v: tuple(int(u == v) for u in VAR_ORDER) for v in VAR_ORDER}
+
+
+def add_terms(acc: dict, terms: dict, sign: int = 1) -> dict:
+    """acc += sign * terms in place (sign is 1 or -1); returns acc.
+
+    Cancelled terms stay in acc; ``nonzero_terms`` drops them.
+    """
+    for e, c in terms.items():
+        if sign < 0:
+            c = -c
+        acc[e] = acc[e] + c if e in acc else c
+    return acc
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts, with cancelled terms dropped."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # A monomial factor shifts exponents one-to-one: nothing merges.
+        ((e2, c2),) = b.items()
+        if c2 == 1:
+            return {tuple(map(operator.add, e1, e2)): c1 for e1, c1 in a.items()}
+        return {tuple(map(operator.add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return nonzero_terms(out)
+
+
+def nonzero_terms(terms: dict) -> dict:
+    """Drop cancelled terms, so a zero sum stays cheap to multiply or raise."""
+    return {e: c for e, c in terms.items() if c}
+
+
+def pow_terms(base: dict, n: int) -> dict:
+    """base ** n by squaring; a one-term base stays one term (0^0 is 1)."""
+    if n == 0:
+        return {CONST_EXP: 1}
+    if len(base) == 1:
+        ((e, c),) = base.items()
+        return {tuple(k * n for k in e): c**n}
+    acc = {CONST_EXP: 1}
+    while n:
+        if n & 1:
+            acc = mul_terms(acc, base)
+        n >>= 1
+        if n:
+            base = mul_terms(base, base)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -92,54 +162,30 @@ class MultiPoly:
     def const(c) -> "MultiPoly":
         return MultiPoly((), {(): _as_fraction(c)})
 
-    @staticmethod
-    def variable(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
-
     # -- ring structure ------------------------------------------------
 
-    def _aligned(self, other: "MultiPoly"):
-        """Both term maps rewritten over the union variable tuple."""
-        vs = tuple(sorted(set(self.vars) | set(other.vars), key=_VAR_INDEX.get))
-        return vs, _reindex(self, vs), _reindex(other, vs)
+    def _slot_terms(self) -> dict:
+        """The term dict over the (x, y, z, w) slots; the caller owns it."""
+        slots = [_VAR_INDEX[v] for v in self.vars]
+        out = {}
+        for e, c in self.terms.items():
+            exp = [0] * len(VAR_ORDER)
+            for i, k in zip(slots, e):
+                exp[i] = k
+            out[tuple(exp)] = c
+        return out
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        vs, a, b = self._aligned(other)
-        out = dict(a)
-        for exp, coef in b.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-        return MultiPoly(vs, out)
+        return MultiPoly(VAR_ORDER, add_terms(self._slot_terms(), other._slot_terms()))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return MultiPoly(VAR_ORDER, add_terms(self._slot_terms(), other._slot_terms(), -1))
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        vs, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(vs, out)
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        acc = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
-
-    def scale(self, c) -> "MultiPoly":
-        c = _as_fraction(c)
-        return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        return MultiPoly(VAR_ORDER, mul_terms(self._slot_terms(), other._slot_terms()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -197,6 +243,13 @@ class MultiPoly:
         except KeyError:
             raise ValueError(f"polynomial has variables {self.vars}, expected subset of (x, y)")
 
+    def xy_terms(self) -> list[tuple[int, int, Fraction]]:
+        """(ex, ey, coef) rows in serialized order; ValueError if z or w occurs."""
+        if not set(self.vars) <= {"x", "y"}:
+            raise ValueError(f"expected a polynomial in variables within (x, y), got {self.vars}")
+        terms = sorted(self._slot_terms().items(), key=lambda t: _gradlex_key(t[0]), reverse=True)
+        return [(e[0], e[1], c) for e, c in terms]
+
     def substitute(self, mapping: dict[str, "MultiPoly"]) -> "MultiPoly":
         """Exact composition: replace each variable by the mapped polynomial.
 
@@ -211,6 +264,9 @@ class MultiPoly:
         cost is linear in the size of the output times the number of
         distinct powers, with no renormalization of partial sums.
         """
+        # This is the construction's hot path, so it keeps its own kernel
+        # over packed int exponents rather than the term-dict one: packing
+        # needs the degree bounds known here, which the parser does not have.
         for v in self.vars:
             if v not in mapping:
                 raise ValueError(f"substitution does not map variable {v!r}")
@@ -332,19 +388,6 @@ class MultiPoly:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _reindex(p: MultiPoly, vs: tuple[str, ...]) -> dict:
-    if p.vars == vs:
-        return p.terms
-    pos = {v: i for i, v in enumerate(vs)}
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * len(vs)
-        for v, k in zip(p.vars, e):
-            ne[pos[v]] = k
-        out[tuple(ne)] = c
-    return out
 
 
 def _scaled_powers(num: dict[int, int], d: int, ks, top: int) -> dict[int, dict[int, int]]:
@@ -484,15 +527,13 @@ class BinaryForm:
     def from_multipoly(p: MultiPoly) -> "BinaryForm":
         if p.is_zero():
             raise ValueError("the zero polynomial is not a binary form")
-        if not set(p.vars) <= {"x", "y"}:
-            raise ValueError(f"binary form must use only x and y, got {p.vars}")
+        rows = p.xy_terms()
         d = p.homogeneity()
         if d is None:
             raise ValueError("polynomial is not homogeneous")
         coeffs = [Fraction(0)] * (d + 1)
-        for e, c in p.terms.items():
-            ex = dict(zip(p.vars, e))
-            coeffs[ex.get("y", 0)] = c
+        for _, ey, c in rows:
+            coeffs[ey] = c
         return BinaryForm(d, tuple(coeffs))
 
     def to_multipoly(self) -> MultiPoly:

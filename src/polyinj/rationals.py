@@ -33,14 +33,6 @@ FINGERPRINT_PRIMES_EXTENDED = FINGERPRINT_PRIMES + (
 )
 
 
-def canonicalize(num: int, den: int) -> Fraction:
-    """Return num/den in canonical form (gcd-reduced, den > 0, 0 -> 0/1).
-
-    Raises ZeroDivisionError when den is 0.
-    """
-    return Fraction(num, den)
-
-
 def height(r: Fraction) -> int:
     """Naive height max(|num|, den) of a canonical rational; height(0) = 1."""
     return max(abs(r.numerator), r.denominator)
@@ -62,7 +54,9 @@ def fingerprint(r: Fraction | int, primes: tuple[int, ...]) -> Fingerprint:
 
 
 def check_fingerprint_primes(primes: tuple[int, ...]) -> None:
-    """Refuse a prime tuple with repeats, an entry <= 2 or a composite entry.
+    """Refuse a prime tuple with repeats, an entry <= 2 or >= 2^64, or a composite.
+
+    The 64-bit cap keeps every modulus where ``is_prime`` is exact.
 
     Raises ValueError.  The verdict for each tuple is cached, so the
     primality tests run once per tuple, not once per fingerprint.
@@ -77,6 +71,8 @@ def _check_primes(primes: tuple[int, ...]) -> None:
     for q in primes:
         if q <= 2:
             raise ValueError(f"fingerprint primes must be > 2, got {q}")
+        if q >= 1 << 64:
+            raise ValueError(f"fingerprint primes must be below 2^64, got {q}")
         if not is_prime(q):
             raise ValueError(f"fingerprint primes must be prime, got {q}")
 

@@ -345,7 +345,7 @@ def test_phase1_default_primes_never_evaluate_exactly(monkeypatch):
 
 def test_bad_prime_tuples_refused_at_entry():
     poly = parse_poly("x^3 + y^3")
-    for primes in [(0,), (7, 7), (2,), (9,), (5, 7 * 11)]:
+    for primes in [(0,), (7, 7), (2,), (9,), (5, 7 * 11), (3317044064679887385961981,)]:
         with pytest.raises(ValueError, match="fingerprint primes"):
             find_collisions(poly, SearchSpace("integers", 4), primes=primes)
     # A composite modulus sharing a factor with a denominator used to fail

@@ -131,6 +131,14 @@ def test_search_deterministic():
     assert ff_collision_search(3, 2, 200, seed=5) == ff_collision_search(3, 2, 200, seed=5)
 
 
+def test_search_report_independent_of_workers():
+    # equal_inputs pinned from the single-worker draw order of earlier
+    # releases, so the trials themselves are unchanged.
+    reports = [ff_collision_search(2, 0, 300, seed=2, workers=n) for n in (1, 2, 3)]
+    assert reports[0]["equal_inputs"] == 80
+    assert reports[1] == reports[0] == reports[2]
+
+
 def test_search_validation():
     with pytest.raises(ValueError):
         ff_collision_search(5, -1, 10, seed=0)

@@ -67,6 +67,11 @@ def test_make_G_examples():
     g = make_G(form("x^5 + 3*y^5"), 5)
     assert g.eval_xy(1, 1) == 128  # F(2, 2)
     assert g.total_degree() == 25
+    # p = 0 would merge the images' t^p and constant terms; it is refused.
+    for build in (lambda: make_G(form("x^2"), 0), lambda: make_f(g, 1, 1, 0),
+                  lambda: twist(form("x^2 + y^2"), ((1, 1), (0, 1)), 0)):
+        with pytest.raises(ValueError, match="exponent p"):
+            build()
 
 
 def test_make_f_examples():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_is_separable, random_form, random_multipoly, random_rational
+from polyinj.collide import SearchSpace, find_collisions
+from polyinj.localfields import padic_collision, real_collision
 from polyinj.parser import parse_poly
 from polyinj.poly import BinaryForm, MultiPoly
 
@@ -114,6 +116,58 @@ def test_substitute_is_ring_homomorphism_on_samples():
 
             assert at(sum_s) == at(ps) + at(qs)
             assert at(prod_s) == at(ps) * at(qs)
+
+
+def test_ring_operations_match_evaluation_oracle():
+    # (p op q) at a point must equal p op q of the values there, for
+    # operands over overlapping, disjoint and empty variable sets.
+    rng = random.Random(77)
+    variables = ("x", "y", "z", "w")
+    subsets = [(), ("x",), ("y", "w"), ("x", "z"), ("x", "y"), ("z", "w"), variables]
+
+    def operand(vs):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return MultiPoly.zero()
+        if kind == 1 or not vs:
+            return MultiPoly.const(random_rational(rng, 9))
+        terms = {
+            tuple(rng.randint(0, 3) for _ in vs): random_rational(rng, 9)
+            for _ in range(rng.randint(1, 5))
+        }
+        return MultiPoly(vs, terms)
+
+    for _ in range(300):
+        p, q = operand(rng.choice(subsets)), operand(rng.choice(subsets))
+        results = (p + q, p - q, p * q, -p)
+        for _ in range(3):
+            pt = {v: random_rational(rng, 7) for v in variables}
+            pv, qv = _value_at(p, pt), _value_at(q, pt)
+            assert [_value_at(r, pt) for r in results] == [pv + qv, pv - qv, pv * qv, -pv]
+    # Disjoint variables multiply into one term per pair of terms.
+    xz = MultiPoly(("x", "z"), {(1, 0): 2, (0, 1): 3})
+    yw = MultiPoly(("y", "w"), {(2, 0): 1, (0, 1): -1})
+    assert xz * yw == parse_poly("2*x*y^2 - 2*x*w + 3*z*y^2 - 3*z*w")
+    assert (xz - xz).is_zero() and (xz * MultiPoly.zero()).is_zero()
+
+
+def test_xy_terms_and_its_callers_refuse_z_and_w():
+    assert parse_poly("3*x^2*y - y + 1/2").xy_terms() == [
+        (2, 1, 3), (0, 1, -1), (0, 0, Fraction(1, 2))
+    ]
+    assert parse_poly("y^2").xy_terms() == [(0, 2, 1)]
+    assert MultiPoly.zero().xy_terms() == []
+    for text in ("x^3 + z^3", "x*y + w", "z"):
+        poly = parse_poly(text)
+        for refuse in (
+            poly.xy_terms,
+            lambda: find_collisions(poly, SearchSpace("integers", 2)),
+            lambda: real_collision(poly, 1, 1, 1e-9),
+            lambda: padic_collision(poly, 5, 4, (1, 1)),
+            lambda: BinaryForm.from_multipoly(poly),
+        ):
+            with pytest.raises(ValueError, match=r"\(x, y\)"):
+                refuse()
 
 
 def _value_at(poly: MultiPoly, point: dict) -> Fraction:

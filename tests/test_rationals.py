@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from polyinj.rationals import (
     FINGERPRINT_PRIMES,
     FINGERPRINT_PRIMES_EXTENDED,
-    canonicalize,
     fingerprint,
     height,
     int_nth_root,
@@ -30,18 +29,6 @@ def _trial_division(n: int) -> bool:
     return True
 
 
-def test_canonicalize_examples():
-    assert canonicalize(2, 4) == Fraction(1, 2)
-    assert canonicalize(3, -6) == Fraction(-1, 2)
-    r = canonicalize(0, 7)
-    assert (r.numerator, r.denominator) == (0, 1)
-
-
-def test_canonicalize_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        canonicalize(1, 0)
-
-
 def test_fingerprint_examples():
     assert fingerprint(Fraction(1, 2), (5,)) == (3,)
     assert fingerprint(Fraction(1, 5), (5,)) == (None,)
@@ -57,6 +44,12 @@ def test_fingerprint_prime_validation():
         fingerprint(Fraction(1, 3), (9,))
     with pytest.raises(ValueError, match="prime"):
         fingerprint(Fraction(1), FINGERPRINT_PRIMES + (FINGERPRINT_PRIMES[0] + 2,))
+    # The smallest strong pseudoprime to all 13 Miller-Rabin bases, which
+    # is_prime calls prime, is refused by the 64-bit cap.
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        fingerprint(Fraction(1), (3317044064679887385961981,))
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        fingerprint(Fraction(1), (2**89 - 1,))
 
 
 def test_default_primes_are_prime_distinct_wordsized():
@@ -88,7 +81,7 @@ def test_height_one_iff_unit_or_zero(num, den):
 )
 def test_equal_values_equal_fingerprints(num, den, scale):
     a = Fraction(num, den)
-    b = canonicalize(num * scale, den * scale)
+    b = Fraction(num * scale, den * scale)
     assert a == b
     assert fingerprint(a, FINGERPRINT_PRIMES) == fingerprint(b, FINGERPRINT_PRIMES)
     assert fingerprint(a, FINGERPRINT_PRIMES_EXTENDED) == fingerprint(
