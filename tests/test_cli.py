@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from polyinj.cli import main
@@ -141,3 +143,32 @@ def test_checkpoint_resume_cli(tmp_path):
                 "--shards", "4", "--checkpoint", str(ck), "--resume", "--out", str(out2)])
     assert res2.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("poly, mode, height, digest", [
+    ("x^7+3*y^7", "rat", "14",
+     "56949d6ba2af1c4c020c6c1c2cec7010b70f8909a581d0249ece1e7396ad81ed"),
+    ("x^3+y^3", "int", "20",
+     "ea415173d88f408a5aed94c01bc160f39fea18354ae867c16ed20c0c68350556"),
+])
+def test_collide_out_bytes_pinned(tmp_path, poly, mode, height, digest):
+    # Digests of reports written through json.dumps(indent=2, sort_keys=True).
+    out = tmp_path / "rep.json"
+    res = run(["collide", "--poly", poly, "--mode", mode, "--height", height,
+               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_corrupt_checkpoint_exit_1_structured(tmp_path):
+    ck = tmp_path / "scan.ck"
+    args = ["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "10",
+            "--shards", "4", "--checkpoint", str(ck)]
+    assert run(args).exit_code == 0
+    doc = json.loads(ck.read_text())
+    del doc["completed"]
+    ck.write_text(json.dumps(doc))
+    res = run([*args, "--resume"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValueError" and str(ck) in err["message"]

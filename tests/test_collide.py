@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -8,7 +11,10 @@ from conftest import allpairs_collision_pairs, random_multipoly
 from polyinj.collide import (
     SearchInterrupted,
     SearchSpace,
+    _checkpoint_header,
     _phase1_shard,
+    _shard_ranges,
+    _write_checkpoint,
     compile_xy_terms,
     enumerate_inputs,
     find_collisions,
@@ -234,6 +240,125 @@ def test_checkpoint_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError):
         find_collisions(parse_poly("x - y"), SearchSpace("integers", 4), shards=4,
                         checkpoint_path=ck, resume=True)
+
+
+def _corrupt(doc: dict, case: str) -> str:
+    """Damage a parsed 4-shard checkpoint; return what its refusal must name."""
+    shards = doc["completed"]
+    if case == "truncated-shard":
+        del shards["1"][-5:]
+        return "shard 1"
+    if case == "missing-completed":
+        del doc["completed"]
+        return "'completed'"
+    if case == "entry-not-a-pair":
+        shards["0"][3] = [1, 2]
+        return "shard 0"
+    if case == "fingerprint-too-short":
+        shards["0"][0][0] = [7]
+        return "shard 0"
+    if case == "shard-id-not-a-number":
+        shards["x"] = shards.pop("2")
+        return "'x'"
+    assert case == "shard-id-out-of-range"
+    shards["4"] = shards.pop("3")
+    return "'4'"
+
+
+@pytest.mark.parametrize("case", [
+    "truncated-shard", "missing-completed", "entry-not-a-pair", "fingerprint-too-short",
+    "shard-id-not-a-number", "shard-id-out-of-range", "not-json",
+])
+def test_corrupt_checkpoint_refused(tmp_path, case):
+    poly, space = parse_poly("x^3+y^3"), SearchSpace("integers", 10)
+    ck = str(tmp_path / "scan.ck")
+    assert len(find_collisions(poly, space, shards=4, checkpoint_path=ck).pairs) == 458
+    if case == "not-json":
+        text, names = "{ truncated", "not valid JSON"
+    else:
+        with open(ck, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        names = _corrupt(doc, case)
+        text = json.dumps(doc)
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError) as err:
+        find_collisions(poly, space, shards=4, checkpoint_path=ck, resume=True)
+    assert ck in str(err.value) and names in str(err.value)
+
+
+def test_report_text_matches_json_dumps_oracle():
+    cube = find_collisions(parse_poly("x^3+y^3"), SearchSpace("integers", 6))
+    frac = parse_poly("(1/5)*x^2+(1/7)*y+(1/3)*x*y")
+    frac_report = find_collisions(frac, SearchSpace("rationals", 8))
+    naive_empty = naive_collisions(parse_poly("x + 3*y"), SearchSpace("integers", 1))
+    odd_path = dataclasses.replace(cube, checkpoint='runs/"q"\\back\\sl\u00e4sh-\u03c0.ck')
+    reports = [
+        find_collisions(parse_poly("x^7+3*y^7"), SearchSpace("integers", 5)),
+        find_collisions(parse_poly("x^7+3*y^7"), SearchSpace("rationals", 3)),
+        naive_empty,
+        cube,
+        dataclasses.replace(cube, pairs=cube.pairs[:1], values=cube.values[:1]),
+        dataclasses.replace(cube, pairs=cube.pairs[-1:], values=cube.values[-1:]),
+        frac_report,
+        find_collisions(frac, SearchSpace("rationals", 5), primes=(5, 7)),
+        find_collisions(parse_poly("x*y"), SearchSpace("rationals", 4), primes=(5, 7)),
+        naive_collisions(frac, SearchSpace("rationals", 4)),
+        odd_path,
+    ]
+    rng = random.Random(8)
+    while len(reports) < 20:
+        poly = random_multipoly(rng, max_terms=4, max_exp=4)
+        if set(poly.vars) <= {"x", "y"}:
+            mode = rng.choice(("integers", "rationals"))
+            reports.append(find_collisions(poly, SearchSpace(mode, rng.randint(1, 4))))
+    assert naive_empty.pairs == [] and naive_empty.primes == ()
+    assert any(Fraction(v) < 0 and Fraction(v).denominator > 1 for v in frac_report.values)
+    assert '\\"q\\"\\\\back\\\\sl\\u00e4sh-\\u03c0' in odd_path.to_json_text()
+    for rep in reports:
+        oracle = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert rep.to_json_text() == oracle
+
+
+def test_checkpoint_bytes_equal_json_dump(tmp_path):
+    poly, space = parse_poly("(1/5)*x^2+(1/7)*y+(1/3)*x*y"), SearchSpace("rationals", 4)
+    for primes in (FINGERPRINT_PRIMES, (5, 7)):
+        ranges = _shard_ranges(len(input_axis(space)) ** 2, 3)
+        # Out of id order, as shards finished by a worker pool can be.
+        completed = {s: _phase1_shard((compile_xy_terms(poly), space.mode, space.height,
+                                       start, end, primes))
+                     for s, (start, end) in zip((2, 0), (ranges[2], ranges[0]))}
+        header = _checkpoint_header(poly, space, 3, primes)
+        ck = str(tmp_path / "scan.ck")
+        _write_checkpoint(ck, header, completed)
+        doc = dict(header)
+        doc["completed"] = {str(sid): [[list(fp), idx] for fp, idx in items]
+                            for sid, items in completed.items()}
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        with open(ck, encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
+
+
+@pytest.mark.parametrize("text, mode, height, stopped, report", [
+    ("x^3+y^3", "integers", 30,
+     "8a3c9186925799485bbfb3f058f6ce3169305f10c48f35b03c4cbbc3c36d591f",
+     "18380016b7d98bf344216a6bf9fd24c5cba7353e33d5e4421f0c5a0ead9937d6"),
+    ("(1/5)*x^2+(1/7)*y+(1/3)*x*y", "rationals", 6,
+     "94202690e267a3963674aa844d75d81a5b70adc4dfb933ea7f6a96b9216f8ed4",
+     "14498d248bb3b0bfc726da8f9ee4cd4b0932b7bd77bafbbea4d13dad05e2c73e"),
+], ids=["cube-int", "fractional-rat"])
+def test_checkpoint_bytes_pinned(tmp_path, monkeypatch, text, mode, height, stopped, report):
+    # Digests from the version-1 writer that encoded with json.dump: a
+    # checkpoint stopped after 3 of 6 shards, and the report that both the
+    # uninterrupted and the resumed search give with checkpoint "cube.ck".
+    monkeypatch.chdir(tmp_path)
+    poly, space = parse_poly(text), SearchSpace(mode, height)
+    with pytest.raises(SearchInterrupted):
+        find_collisions(poly, space, shards=6, checkpoint_path="cube.ck", stop_after_shards=3)
+    assert hashlib.sha256((tmp_path / "cube.ck").read_bytes()).hexdigest() == stopped
+    resumed = find_collisions(poly, space, shards=6, checkpoint_path="cube.ck", resume=True)
+    assert hashlib.sha256(resumed.to_json_text().encode()).hexdigest() == report
 
 
 def test_report_json_shape():
