@@ -10,7 +10,6 @@ from .collide import (
     naive_collisions,
 )
 from .ffield import (
-    FpPoly,
     FpRatFun,
     ff_collision_search,
     ff_eval_injection,
@@ -46,7 +45,6 @@ __all__ = [
     "ConstructionTrace",
     "FINGERPRINT_PRIMES",
     "FINGERPRINT_PRIMES_EXTENDED",
-    "FpPoly",
     "FpRatFun",
     "MultiPoly",
     "PadicApprox",

@@ -121,49 +121,32 @@ def compile_xy_terms(poly: MultiPoly) -> list[tuple[int, int, int, int]]:
     return [(ex, ey, c.numerator, c.denominator) for ex, ey, c in poly.xy_terms()]
 
 
-def make_evaluator(rows, integer_inputs: bool):
+def make_evaluator(rows):
     """Exact evaluator (x, y) -> value from compiled term rows.
 
-    Integer inputs with integer coefficients stay in plain int arithmetic;
-    anything else runs on Fraction.
+    Coefficients stay int where their denominator is 1 and powers start
+    from int 1, so integer inputs with integer coefficients never touch
+    Fraction; any Fraction coefficient or input makes the value a Fraction.
     """
     if not rows:
         return lambda xv, yv: 0
     max_ex = max(r[0] for r in rows)
     max_ey = max(r[1] for r in rows)
-    int_path = integer_inputs and all(d == 1 for (_, _, _, d) in rows)
-    if int_path:
-        int_rows = [(ex, ey, n) for (ex, ey, n, _) in rows]
+    coeff_rows = [(ex, ey, n if d == 1 else Fraction(n, d)) for (ex, ey, n, d) in rows]
 
-        def ev_int(xv, yv):
-            px = [1]
-            for _ in range(max_ex):
-                px.append(px[-1] * xv)
-            py = [1]
-            for _ in range(max_ey):
-                py.append(py[-1] * yv)
-            total = 0
-            for ex, ey, n in int_rows:
-                total += n * px[ex] * py[ey]
-            return total
-
-        return ev_int
-
-    frac_rows = [(ex, ey, Fraction(n, d)) for (ex, ey, n, d) in rows]
-
-    def ev_frac(xv, yv):
-        px = [Fraction(1)]
+    def ev(xv, yv):
+        px = [1]
         for _ in range(max_ex):
             px.append(px[-1] * xv)
-        py = [Fraction(1)]
+        py = [1]
         for _ in range(max_ey):
             py.append(py[-1] * yv)
-        total = Fraction(0)
-        for ex, ey, c in frac_rows:
+        total = 0
+        for ex, ey, c in coeff_rows:
             total += c * px[ex] * py[ey]
         return total
 
-    return ev_frac
+    return ev
 
 
 # -- sharded phase 1 -------------------------------------------------------------
@@ -225,7 +208,7 @@ def _phase1_shard(payload):
     rows, mode, height, start, end, primes = payload
     axis = input_axis(SearchSpace(mode, height))
     n = len(axis)
-    ev = make_evaluator(rows, mode == "integers")
+    ev = make_evaluator(rows)
 
     def exact(i, j):
         return fingerprint_value(ev(axis[i], axis[j]), primes)
@@ -498,7 +481,7 @@ def find_collisions(
                 buckets.setdefault(fp, [j]).append(idx)
     del first
 
-    ev = make_evaluator(rows, space.mode == "integers")
+    ev = make_evaluator(rows)
 
     def pair_of(idx):
         return (axis[idx // n], axis[idx % n])
@@ -564,7 +547,7 @@ def naive_collisions(poly: MultiPoly, space: SearchSpace) -> CollisionReport:
     rows = compile_xy_terms(poly)
     axis = input_axis(space)
     n = len(axis)
-    ev = make_evaluator(rows, space.mode == "integers")
+    ev = make_evaluator(rows)
     by_value: dict = {}
     for idx in range(n * n):
         v = ev(axis[idx // n], axis[idx % n])

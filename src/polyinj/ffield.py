@@ -9,7 +9,11 @@ exact p-th powers, the derivative criterion deciding p-th powers, and a
 randomized search that hammers on the injection.
 
 Polynomial coefficient vectors are tuples, low degree first, trailing zeros
-trimmed; the zero polynomial is ().
+trimmed; the zero polynomial is ().  A value of F_p(t) is FpRatFun(p, num,
+den) over two such tuples, and FpRatFun.__post_init__ is the one place that
+reduces mod p and puts num/den in canonical form.  ff_eval_injection builds
+x^p + t*y^p straight from the Frobenius-moved tuples and reduces it once.
+Values over different primes are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -125,66 +129,40 @@ def pfrob(a: Coeffs, p: int) -> Coeffs:
 
 
 @dataclass(frozen=True)
-class FpPoly:
-    """Dense polynomial over F_p, low-degree-first coefficients."""
+class FpRatFun:
+    """Rational function num/den over F_p, gcd-reduced with monic denominator.
+
+    num and den are coefficient tuples in the form described above.
+    """
 
     p: int
-    coeffs: Coeffs
+    num: Coeffs
+    den: Coeffs
 
     def __post_init__(self):
-        cs = ptrim(c % self.p for c in self.coeffs)
-        object.__setattr__(self, "coeffs", cs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
-
-
-@dataclass(frozen=True)
-class FpRatFun:
-    """Rational function num/den over F_p, gcd-reduced with monic denominator."""
-
-    num: FpPoly
-    den: FpPoly
-
-    def __post_init__(self):
-        if self.num.p != self.den.p:
-            raise ValueError("numerator and denominator live over different primes")
-        if self.den.is_zero():
+        p = self.p
+        n = ptrim(c % p for c in self.num)
+        d = ptrim(c % p for c in self.den)
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        p = self.num.p
-        n, d = self.num.coeffs, self.den.coeffs
         g = pgcd(n, d, p)
         if len(g) > 1:
             n = pdivmod(n, g, p)[0]
             d = pdivmod(d, g, p)[0]
-        if d and d[-1] != 1:
+        if d[-1] != 1:
             inv = pow(d[-1], -1, p)
             n = tuple(c * inv % p for c in n)
             d = tuple(c * inv % p for c in d)
-        object.__setattr__(self, "num", FpPoly(p, n))
-        object.__setattr__(self, "den", FpPoly(p, d))
-
-    @property
-    def p(self) -> int:
-        return self.num.p
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
 
     @staticmethod
     def from_coeffs(p: int, num, den=(1,)) -> "FpRatFun":
-        return FpRatFun(FpPoly(p, tuple(num)), FpPoly(p, tuple(den)))
-
-    @staticmethod
-    def constant(p: int, c: int) -> "FpRatFun":
-        return FpRatFun.from_coeffs(p, (c,))
+        return FpRatFun(p, num, den)
 
     @staticmethod
     def t(p: int) -> "FpRatFun":
-        return FpRatFun.from_coeffs(p, (0, 1))
+        return FpRatFun(p, (0, 1), (1,))
 
     @staticmethod
     def from_text(p: int, text: str) -> "FpRatFun":
@@ -200,46 +178,30 @@ class FpRatFun:
             return tuple(int(c) for c in part.split(","))
 
         den = coeffs(parts[1]) if len(parts) == 2 else (1,)
-        return FpRatFun.from_coeffs(p, coeffs(parts[0]), den)
+        return FpRatFun(p, coeffs(parts[0]), den)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def __add__(self, other: "FpRatFun") -> "FpRatFun":
-        p = self.p
-        n = padd(
-            pmul(self.num.coeffs, other.den.coeffs, p),
-            pmul(other.num.coeffs, self.den.coeffs, p),
-            p,
-        )
-        d = pmul(self.den.coeffs, other.den.coeffs, p)
-        return FpRatFun(FpPoly(p, n), FpPoly(p, d))
+        p = _common_prime(self.p, other)
+        n = padd(pmul(self.num, other.den, p), pmul(other.num, self.den, p), p)
+        return FpRatFun(p, n, pmul(self.den, other.den, p))
 
     def __sub__(self, other: "FpRatFun") -> "FpRatFun":
-        p = self.p
-        n = psub(
-            pmul(self.num.coeffs, other.den.coeffs, p),
-            pmul(other.num.coeffs, self.den.coeffs, p),
-            p,
-        )
-        d = pmul(self.den.coeffs, other.den.coeffs, p)
-        return FpRatFun(FpPoly(p, n), FpPoly(p, d))
+        p = _common_prime(self.p, other)
+        n = psub(pmul(self.num, other.den, p), pmul(other.num, self.den, p), p)
+        return FpRatFun(p, n, pmul(self.den, other.den, p))
 
     def __mul__(self, other: "FpRatFun") -> "FpRatFun":
-        p = self.p
-        return FpRatFun(
-            FpPoly(p, pmul(self.num.coeffs, other.num.coeffs, p)),
-            FpPoly(p, pmul(self.den.coeffs, other.den.coeffs, p)),
-        )
+        p = _common_prime(self.p, other)
+        return FpRatFun(p, pmul(self.num, other.num, p), pmul(self.den, other.den, p))
 
     def __truediv__(self, other: "FpRatFun") -> "FpRatFun":
-        p = self.p
+        p = _common_prime(self.p, other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return FpRatFun(
-            FpPoly(p, pmul(self.num.coeffs, other.den.coeffs, p)),
-            FpPoly(p, pmul(self.den.coeffs, other.num.coeffs, p)),
-        )
+        return FpRatFun(p, pmul(self.num, other.den, p), pmul(self.den, other.num, p))
 
     def frobenius(self) -> "FpRatFun":
         """Exact p-th power: num and den transported by g(t)^p = g(t^p).
@@ -248,21 +210,31 @@ class FpRatFun:
         gcd(n(t^p), d(t^p)) = 1, and a monic den stays monic.
         """
         p = self.p
-        return FpRatFun(
-            FpPoly(p, pfrob(self.num.coeffs, p)),
-            FpPoly(p, pfrob(self.den.coeffs, p)),
-        )
+        return FpRatFun(p, pfrob(self.num, p), pfrob(self.den, p))
 
     def __str__(self) -> str:
-        return f"{self.num};{self.den}"
+        return ";".join(",".join(map(str, cs)) if cs else "0" for cs in (self.num, self.den))
+
+
+def _common_prime(p: int, *values: FpRatFun) -> int:
+    """p, after checking that every value lives over F_p(t)."""
+    for v in values:
+        if v.p != p:
+            raise ValueError(f"F_{v.p}(t) value used where F_{p}(t) is expected")
+    return p
 
 
 def ff_eval_injection(p: int, x: FpRatFun, y: FpRatFun) -> FpRatFun:
-    """x^p + t * y^p in canonical form."""
-    xp = x.frobenius()
-    yp = y.frobenius()
-    t_num = FpPoly(p, (0,) + yp.num.coeffs)  # t * num(y^p)
-    return xp + FpRatFun(t_num, yp.den)
+    """x^p + t * y^p in canonical form, reduced once.
+
+    With the Frobenius-moved tuples N(t) = n(t^p) and D(t) = d(t^p), the
+    value is (N_x D_y + t N_y D_x) / (D_x D_y).
+    """
+    _common_prime(p, x, y)
+    nx, dx = pfrob(x.num, p), pfrob(x.den, p)
+    ny, dy = pfrob(y.num, p), pfrob(y.den, p)
+    n = padd(pmul(nx, dy, p), (0,) + pmul(ny, dx, p), p)
+    return FpRatFun(p, n, pmul(dx, dy, p))
 
 
 def is_pth_power(h: FpRatFun) -> bool:
@@ -271,8 +243,7 @@ def is_pth_power(h: FpRatFun) -> bool:
     The constants F_p are perfect, so the kernel of d/dt is F_p(t^p), the
     field of p-th powers.
     """
-    p = h.p
-    n, d = h.num.coeffs, h.den.coeffs
+    p, n, d = h.p, h.num, h.den
     return psub(pmul(pderiv(n, p), d, p), pmul(n, pderiv(d, p), p), p) == ()
 
 
@@ -301,6 +272,7 @@ def verify_injection(
     """
     x1, y1 = pair1
     x2, y2 = pair2
+    _common_prime(p, x1, y1, x2, y2)
     if x1 == x2 and y1 == y2:
         return VerificationResult("equal_inputs", None)
     delta = ff_eval_injection(p, x1, y1) - ff_eval_injection(p, x2, y2)

@@ -82,6 +82,22 @@ def _univariate_in_y(f: MultiPoly, x_value: Fraction) -> tuple[Fraction, ...]:
     return utrim(coeffs)
 
 
+def _horner(cs, v: float) -> float:
+    """Float value at v of the polynomial with coefficients cs, low degree first."""
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * v + c
+    return acc
+
+
+def _horner_mod(cs, v: int, m: int) -> int:
+    """Value mod m at v of the polynomial with coefficients cs, low degree first."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * v + c) % m
+    return acc
+
+
 def _screen_partial_y(f: MultiPoly, x0: Fraction, y0: Fraction) -> None:
     dfdy = f.partial("y")
     if dfdy.is_zero() or dfdy.eval_xy(x0, y0) == 0:
@@ -120,29 +136,17 @@ def real_collision(
     g = [float(cf) for cf in g_exact]
     dg = [float(cf) for cf in uderiv(g_exact)]
 
-    def geval(y: float) -> float:
-        acc = 0.0
-        for cf in reversed(g):
-            acc = acc * y + cf
-        return acc
-
-    def dgeval(y: float) -> float:
-        acc = 0.0
-        for cf in reversed(dg):
-            acc = acc * y + cf
-        return acc
-
     y0f = float(y0)
     lo = hi = None
     for j in range(_MAX_BRACKET_EXPANSIONS):
         half = 2.0**j
         a, b = y0f - half, y0f + half
         step = (b - a) / _BRACKET_SAMPLES
-        prev_y, prev_v = a, geval(a)
+        prev_y, prev_v = a, _horner(g, a)
         found = False
         for k in range(1, _BRACKET_SAMPLES + 1):
             cur_y = a + k * step
-            cur_v = geval(cur_y)
+            cur_v = _horner(g, cur_y)
             if prev_v == 0.0:
                 lo = hi = prev_y
                 found = True
@@ -161,10 +165,10 @@ def real_collision(
 
     if lo != hi:
         # Bisect to a 1e-4 window, then let Newton finish.
-        flo = geval(lo)
+        flo = _horner(g, lo)
         while hi - lo > 1e-4:
             mid = 0.5 * (lo + hi)
-            fmid = geval(mid)
+            fmid = _horner(g, mid)
             if fmid == 0.0:
                 lo = hi = mid
                 break
@@ -174,15 +178,15 @@ def real_collision(
                 lo, flo = mid, fmid
 
     y = 0.5 * (lo + hi)
-    best_y, best_res = y, abs(geval(y))
+    best_y, best_res = y, abs(_horner(g, y))
     for _ in range(100):
         if best_res <= tol:
             break
-        d = dgeval(y)
+        d = _horner(dg, y)
         if d == 0.0 or d != d:
             break
-        y = y - geval(y) / d
-        res = abs(geval(y))
+        y = y - _horner(g, y) / d
+        res = abs(_horner(g, y))
         if res < best_res:
             best_y, best_res = y, res
         else:
@@ -251,21 +255,9 @@ def padic_collision(
     h_mod = [cf.numerator * pow(cf.denominator, -1, pk) % pk for cf in h_exact]
     dh_mod = [(i * cf) % pk for i, cf in enumerate(h_mod)][1:]
 
-    def heval_mod(y: int, m: int) -> int:
-        acc = 0
-        for cf in reversed(h_mod):
-            acc = (acc * y + cf) % m
-        return acc
-
-    def dheval_mod(y: int, m: int) -> int:
-        acc = 0
-        for cf in reversed(dh_mod):
-            acc = (acc * y + cf) % m
-        return acc
-
     seed = None
     for r in range(p):
-        if heval_mod(r, p) == 0 and dheval_mod(r, p) != 0:
+        if _horner_mod(h_mod, r, p) == 0 and _horner_mod(dh_mod, r, p) != 0:
             seed = r
             break
     if seed is None:
@@ -283,8 +275,8 @@ def padic_collision(
     for _ in range(64):
         if v is None or v >= precision:
             break
-        d = dheval_mod(y, pk)
-        y = (y - heval_mod(y, pk) * pow(d, -1, pk)) % pk
+        d = _horner_mod(dh_mod, y, pk)
+        y = (y - _horner_mod(h_mod, y, pk) * pow(d, -1, pk)) % pk
         v = _valuation(exact_residual(y), p)
         trace.append(precision if v is None else min(v, precision))
     if not (v is None or v >= precision):

@@ -60,9 +60,6 @@ class ProjPoint:
                 break
         return ProjPoint(t)
 
-    def height(self) -> int:
-        return max(abs(v) for v in self.coords)
-
     def swap(self) -> "ProjPoint":
         x, y, z, w = self.coords
         return ProjPoint.canonical(z, w, x, y)

@@ -160,6 +160,22 @@ def test_collide_out_bytes_pinned(tmp_path, poly, mode, height, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["ffield", "--p", "3", "--deg", "2", "--trials", "500", "--seed", "1", "--threads", "1"],
+     "c21d40a3c42e7969209c7065aaff20cb5b26d1de32d4bcc18260650c5627088d"),
+    (["local", "--poly", "x^7+3*y^7", "--real", "--at", "1,1", "--tol", "1e-12"],
+     "1bfe2d098ceabb37c39c79558c15fd90fb9f0a03e979907f1b427e1ea0b56781"),
+    (["local", "--poly", "x^3+y^3", "--padic", "5", "--prec", "8", "--at", "1,1",
+      "--delta", "5"],
+     "1e452de55541d35524d18d991a7a0efe9a8e80eb7b0c87f44d2dc7dcf3ae973f"),
+])
+def test_ffield_and_local_out_bytes_pinned(tmp_path, args, digest):
+    out = tmp_path / "out.json"
+    res = run([*args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_corrupt_checkpoint_exit_1_structured(tmp_path):
     ck = tmp_path / "scan.ck"
     args = ["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "10",

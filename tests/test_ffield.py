@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+import polyinj
 from polyinj.ffield import (
-    FpPoly,
     FpRatFun,
     ff_collision_search,
     ff_eval_injection,
@@ -20,19 +20,19 @@ def rf(p, num, den=(1,)):
 
 
 def test_fp_poly_canonical():
-    assert FpPoly(5, (6, 10, 0, 0)).coeffs == (1,)
-    assert FpPoly(3, ()).is_zero()
-    assert FpPoly(7, (0, 0, 14)).is_zero()
+    assert rf(5, (6, 10, 0, 0)).num == (1,)
+    assert rf(3, ()).is_zero()
+    assert rf(7, (0, 0, 14)).is_zero()
 
 
 def test_ratfun_canonicalization():
     # (t^2 - 1) / (t - 1) reduces to t + 1; denominator made monic.
     h = rf(5, (4, 0, 1), (4, 1))
-    assert h.num.coeffs == (1, 1)
-    assert h.den.coeffs == (1,)
+    assert h.num == (1, 1)
+    assert h.den == (1,)
     h2 = rf(5, (2, 2), (0, 2))  # (2t+2)/(2t) -> (t+1)/t
-    assert h2.num.coeffs == (1, 1)
-    assert h2.den.coeffs == (0, 1)
+    assert h2.num == (1, 1)
+    assert h2.den == (0, 1)
     with pytest.raises(ZeroDivisionError):
         rf(5, (1,), (0,))
 
@@ -48,11 +48,11 @@ def test_pmul_matches_schoolbook():
 
 def test_ff_eval_injection_examples():
     one = rf(2, (1,))
-    assert ff_eval_injection(2, one, one).num.coeffs == (1, 1)  # 1 + t
+    assert ff_eval_injection(2, one, one).num == (1, 1)  # 1 + t
     t2 = ff_eval_injection(2, rf(2, (0, 1)), rf(2, ()))
-    assert t2.num.coeffs == (0, 0, 1)  # t^2 by Frobenius
+    assert t2.num == (0, 0, 1)  # t^2 by Frobenius
     t3t = ff_eval_injection(3, rf(3, (0, 1)), rf(3, (1,)))
-    assert t3t.num.coeffs == (0, 1, 0, 1)  # t^3 + t
+    assert t3t.num == (0, 1, 0, 1)  # t^3 + t
 
 
 def test_frobenius_exactness():
@@ -64,6 +64,36 @@ def test_frobenius_exactness():
             for _ in range(p):
                 by_mult = pmul(by_mult, g, p)
             assert by_mult == pfrob(g, p)
+
+
+def test_eval_injection_matches_frobenius_oracle():
+    # The one-reduction evaluator agrees with x^p + t*y^p built from field ops.
+    rng = random.Random(37)
+    for p in (2, 3, 5, 7):
+        t = FpRatFun.t(p)
+        for _ in range(40):
+            x = _random_ratfun(rng, p, 3)
+            y = _random_ratfun(rng, p, 3)
+            assert ff_eval_injection(p, x, y) == x.frobenius() + t * y.frobenius()
+
+
+def test_mixed_primes_refused():
+    a, b = rf(2, (1,)), rf(3, (1, 1))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(ValueError, match="F_3"):
+            op()
+    with pytest.raises(ValueError):
+        ff_eval_injection(5, a, a)
+    x, y = rf(3, (0, 1)), rf(3, (1,))
+    with pytest.raises(ValueError):
+        verify_injection(5, (x, y), (y, x))
+    with pytest.raises(ValueError):
+        verify_injection(5, (x, y), (x, y))
+
+
+def test_package_exports_resolve():
+    for name in polyinj.__all__:
+        assert hasattr(polyinj, name), name
 
 
 def test_freshmans_dream():
@@ -112,11 +142,11 @@ def test_verify_injection_examples():
     assert verify_injection(2, (one, one), (one, one)).kind == "equal_inputs"
     r = verify_injection(2, (one, one), (t, zero))
     assert r.kind == "distinct_values"
-    assert r.delta.num.coeffs == (1, 1, 1)  # 1 + t + t^2
-    assert r.delta.den.coeffs == (1,)
+    assert r.delta.num == (1, 1, 1)  # 1 + t + t^2
+    assert r.delta.den == (1,)
     r3 = verify_injection(3, (FpRatFun.t(3), rf(3, (1,))), (rf(3, ()), rf(3, (1,))))
     assert r3.kind == "distinct_values"
-    assert r3.delta.num.coeffs == (0, 0, 0, 1)  # t^3
+    assert r3.delta.num == (0, 0, 0, 1)  # t^3
 
 
 def test_search_reports_zero_collisions():
@@ -170,5 +200,5 @@ def test_values_live_in_canonical_form():
             # gcd-reduced, monic denominator.
             from polyinj.ffield import pgcd
 
-            assert v.den.coeffs[-1] == 1
-            assert len(pgcd(v.num.coeffs, v.den.coeffs, p)) <= 1
+            assert v.den[-1] == 1
+            assert len(pgcd(v.num, v.den, p)) <= 1
