@@ -29,7 +29,6 @@ from .pipeline import (
 from .poly import BinaryForm, MultiPoly
 from .rationals import (
     FINGERPRINT_PRIMES,
-    FINGERPRINT_PRIMES_EXTENDED,
     Rational,
     fingerprint,
     height,
@@ -44,7 +43,6 @@ __all__ = [
     "CollisionReport",
     "ConstructionTrace",
     "FINGERPRINT_PRIMES",
-    "FINGERPRINT_PRIMES_EXTENDED",
     "FpRatFun",
     "MultiPoly",
     "PadicApprox",

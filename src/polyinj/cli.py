@@ -72,13 +72,18 @@ def _parse_at(text: str) -> tuple[Fraction, Fraction]:
     return rat_from_str(parts[0]), rat_from_str(parts[1])
 
 
-def _emit(text: str, out: str | None) -> list[str]:
+def _stream(write, out: str | None) -> list[str]:
+    """Call write(fh) on the --out file, or on stdout without one; return the outputs."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         return [out]
-    sys.stdout.write(text)
+    write(sys.stdout)
     return []
+
+
+def _emit(text: str, out: str | None) -> list[str]:
+    return _stream(lambda fh: fh.write(text), out)
 
 
 def _write_manifest(
@@ -138,7 +143,7 @@ def surface(form_text, height, out_path, manifest_path, shards, threads):
     try:
         form, source = _load_form(form_text)
         result = scan_surface(
-            form, height, shards=shards, workers=threads or os.cpu_count()
+            form, height, shards=shards, workers=os.cpu_count() if threads is None else threads
         )
         outputs = _emit(_dumps(result.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
@@ -168,7 +173,7 @@ def build(form_text, height, seed, max_twists, out_path, manifest_path, threads)
             height_bound=height,
             rng_seed=seed,
             max_twists=max_twists,
-            workers=threads or os.cpu_count(),
+            workers=os.cpu_count() if threads is None else threads,
         )
         outputs = _emit(_dumps(trace.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
@@ -197,11 +202,11 @@ def collide(poly_text, mode, height, out_path, manifest_path, shards, threads, c
             poly,
             space,
             shards=shards,
-            workers=threads or os.cpu_count(),
+            workers=os.cpu_count() if threads is None else threads,
             checkpoint_path=checkpoint_path,
             resume=resume,
         )
-        outputs = _emit(report.to_json_text(), out_path)
+        outputs = _stream(report.write_json, out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
         return

@@ -10,20 +10,20 @@ height:
            shares a factor with a coefficient denominator or with one of
            its two denominators (input denominators are at most H, far
            below the default 62-bit primes);
-  phase 2  bucket by fingerprint, split oversized buckets with an extended
-           prime tuple, then confirm every candidate bucket by exact
-           evaluation and value grouping.
+  phase 2  bucket by fingerprint, evaluate every member of a multi-member
+           bucket exactly once and group the bucket by exact value; each
+           group of two or more inputs is one equal-value class.
 
 Every reported collision is exactly confirmed; fingerprints can only cost
-time, never soundness.  Reports are deterministic: identical inputs give
+time, never soundness.  A class of k inputs is held as k indices; its
+k(k-1)/2 pairs are walked, never stored or sorted, when a report is read
+or written.  Reports are deterministic: identical inputs give
 byte-identical JSON regardless of worker or shard count.
 
-Writing a report costs less than the search behind it.  ``to_json_text``
-writes the collision list from one template of the ``json.dumps(indent=2,
-sort_keys=True)`` layout, formatting each axis value and each distinct
-value once, and sends only the other fields through ``json.dumps``; for
-x^3+y^3 over integers in [-150, 150] (95,574 pairs, 12 MB) it takes about
-0.13 s against 0.3-0.45 s for the search (2 vCPU, Python 3.11).
+``write_json`` streams a report in the ``json.dumps(indent=2,
+sort_keys=True)`` layout, one row (an input and its later class-mates) at
+a time from one template, so its memory does not grow with the number of
+pairs; ``to_json_text`` collects that stream in a string.
 ``to_json_dict`` builds the same document as nested lists, for the
 construction trace and as the writer's test oracle.  A checkpoint is
 encoded by one ``json.dumps`` call, which runs CPython's C encoder, and one
@@ -37,6 +37,7 @@ by their exact values, with no fingerprint machinery involved.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
@@ -44,21 +45,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 
 from .poly import MultiPoly
-from .rationals import (
-    FINGERPRINT_PRIMES,
-    FINGERPRINT_PRIMES_EXTENDED,
-    check_fingerprint_primes,
-    rat_to_str,
-)
+from .rationals import FINGERPRINT_PRIMES, check_fingerprint_primes, rat_to_str
 from .rationals import fingerprint as fingerprint_value
-
-# Buckets larger than this are split by the extended prime tuple before
-# exact confirmation, bounding the number of exact values held at once.
-ESCALATION_THRESHOLD = 1000
 
 DISCLAIMER = (
     "bounded-height exhaustive search: an empty collision list is evidence "
@@ -315,15 +306,16 @@ def _load_checkpoint(path: str, header: dict, ranges: list[tuple[int, int]]) -> 
 class CollisionReport:
     """Certified collisions plus search metadata.
 
-    ``pairs`` holds index pairs (i < j) into the deterministic input order;
-    ``values`` is the shared exact value per pair.  The ``collisions``
-    property materializes the ((x,y),(z,w),value) view.
+    ``classes`` holds the equal-value classes, ordered by least member:
+    each is (indices, value), two or more ascending indices into the
+    deterministic input order and their one exact value.  ``pairs``,
+    ``values`` and ``collisions`` are views that list every pair (a, b) of
+    class-mates with a < b, in order of a and then of b.
     """
 
     poly: MultiPoly
     space: SearchSpace
-    pairs: list[tuple[int, int]]
-    values: list
+    classes: list[tuple[tuple[int, ...], object]]
     stats: dict
     primes: tuple[int, ...] = FINGERPRINT_PRIMES
     checkpoint: str | None = None
@@ -334,12 +326,31 @@ class CollisionReport:
         n = len(axis)
         return (axis[idx // n], axis[idx % n])
 
+    def _rows(self):
+        """(a, the class-mates after a, value) for every a that has some, in order of a.
+
+        Each input lies in at most one class, so the rows sort by a alone.
+        """
+        at = {}
+        for members, v in self.classes:
+            for k in range(len(members) - 1):
+                at[members[k]] = (members, k + 1, v)
+        for a in sorted(at):
+            members, k, v = at[a]
+            yield a, members[k:], v
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        return [(a, b) for a, later, _ in self._rows() for b in later]
+
+    @property
+    def values(self) -> list:
+        return [v for _, later, v in self._rows() for _ in later]
+
     @property
     def collisions(self) -> list:
-        return [
-            (self.input_pair(i), self.input_pair(j), v)
-            for (i, j), v in zip(self.pairs, self.values)
-        ]
+        pair = self.input_pair
+        return [(pair(a), pair(b), v) for a, later, v in self._rows() for b in later]
 
     def _json_doc(self, collisions: list) -> dict:
         stats = {k: v for k, v in self.stats.items() if k != "wall_time"}
@@ -363,32 +374,40 @@ class CollisionReport:
             for ((x, y), (z, w), v) in self.collisions
         ])
 
-    def to_json_text(self) -> str:
-        """The report as sorted, 2-space indented JSON with a final newline.
+    def write_json(self, fh) -> None:
+        """Write the report to fh as sorted, 2-space indented JSON with a final newline.
 
         The text is byte-equal to ``json.dumps(self.to_json_dict(), indent=2,
         sort_keys=True) + "\\n"`` without building that dict: every field but
         the collision list goes through ``json.dumps``, and the collision
-        list is written from one template of that layout, with each axis
-        value and each distinct value object formatted once; "num/den"
-        strings need no JSON escaping.
+        list is written one row of pairs at a time from one template of that
+        layout, with each axis value formatted once; "num/den" strings need
+        no JSON escaping.
         """
         text = json.dumps(self._json_doc([]), indent=2, sort_keys=True) + "\n"
-        if not self.pairs:
-            return text
+        if not self.classes:
+            fh.write(text)
+            return
         # No raw newline occurs inside a JSON string, so this is the key's own line.
         head, _, tail = text.partition('\n  "collisions": []')
+        fh.write(head + '\n  "collisions": [')
         n = len(self._axis)
         axis = [rat_to_str(v) for v in self._axis]
-        # Keyed by object: the pairs of one value share it, and hashing a
-        # Fraction costs more than formatting it.
-        distinct = {id(v): v for v in self.values}
-        values = {k: rat_to_str(v) for k, v in distinct.items()}
-        pairs = ",".join([
-            _PAIR_JSON % (axis[i // n], axis[i % n], axis[j // n], axis[j % n], values[id(v)])
-            for (i, j), v in zip(self.pairs, self.values)
-        ])
-        return f'{head}\n  "collisions": [{pairs}\n  ]{tail}'
+        sep = ""
+        for a, later, v in self._rows():
+            x, y, value = axis[a // n], axis[a % n], rat_to_str(v)
+            fh.write(sep)
+            fh.write(",".join([
+                _PAIR_JSON % (x, y, axis[b // n], axis[b % n], value) for b in later
+            ]))
+            sep = ","
+        fh.write("\n  ]" + tail)
+
+    def to_json_text(self) -> str:
+        """The text ``write_json`` writes."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
 
 # One [[x, y], [z, w], value] entry of the collision list, laid out as
@@ -416,10 +435,11 @@ def find_collisions(
 ) -> CollisionReport:
     """Complete collision search over the space via the fingerprint join.
 
-    The report lists exactly the unordered pairs of distinct inputs with
-    equal exact values, in canonical input order.  ``stop_after_shards``
-    aborts after that many newly completed shards (checkpoint intact) and
-    exists so interruption can be tested deterministically.
+    The report's classes are exactly the sets of two or more inputs with
+    one exact value.  Shard and worker counts below 1 raise ValueError.
+    ``stop_after_shards`` aborts after that many newly completed shards
+    (checkpoint intact) and exists so interruption can be tested
+    deterministically.
     """
     t0 = time.perf_counter()
     check_fingerprint_primes(primes)
@@ -427,10 +447,12 @@ def find_collisions(
     axis = input_axis(space)
     n = len(axis)
     total = n * n
-    shards = shards or _default_shards(total)
-    if shards < 1 or shards > total:
-        raise ValueError(f"shard count must be in [1, {total}]")
-    workers = workers or 1
+    shards = _default_shards(total) if shards is None else shards
+    if not 1 <= shards <= total:
+        raise ValueError(f"shard count must be in [1, {total}], got {shards}")
+    workers = 1 if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     header = _checkpoint_header(poly, space, shards, primes)
 
     ranges = _shard_ranges(total, shards)
@@ -469,9 +491,7 @@ def find_collisions(
             note_done(s, _phase1_shard(payloads[s]))
 
     # Keep only fingerprints shared by two or more inputs.  Each bucket
-    # lists its indices in ascending order (shards merge in id order); the
-    # order of the buckets themselves does not matter, as the emitted pairs
-    # are sorted below.
+    # lists its indices in ascending order (shards merge in id order).
     first: dict[tuple, int] = {}
     buckets: dict[tuple, list[int]] = {}
     for s in range(shards):
@@ -481,55 +501,29 @@ def find_collisions(
                 buckets.setdefault(fp, [j]).append(idx)
     del first
 
+    # Every candidate is evaluated exactly once; its bucket splits by value.
     ev = make_evaluator(rows)
-
-    def pair_of(idx):
-        return (axis[idx // n], axis[idx % n])
-
     candidates = 0
-    confirms = 0
-    out_pairs: list[tuple[int, int]] = []
-    out_values: list = []
+    classes = []
     for idxs in buckets.values():
         candidates += len(idxs)
-        if len(idxs) > ESCALATION_THRESHOLD and len(primes) < len(FINGERPRINT_PRIMES_EXTENDED):
-            extended = FINGERPRINT_PRIMES_EXTENDED
-            sub: dict[tuple, list[int]] = {}
-            for idx in idxs:
-                v = ev(*pair_of(idx))
-                confirms += 1
-                sub.setdefault(fingerprint_value(v, extended), []).append(idx)
-            groups = sub.values()
-        else:
-            groups = [idxs]
-        for group in groups:
-            if len(group) < 2:
-                continue
-            by_value: dict = {}
-            for idx in group:
-                v = ev(*pair_of(idx))
-                confirms += 1
-                by_value.setdefault(v, []).append(idx)
-            for v, members in by_value.items():
-                for a, b in combinations(members, 2):
-                    out_pairs.append((a, b))
-                    out_values.append(v)
-
-    order = sorted(range(len(out_pairs)), key=out_pairs.__getitem__)
-    out_pairs = [out_pairs[k] for k in order]
-    out_values = [out_values[k] for k in order]
+        by_value: dict = {}
+        for idx in idxs:
+            by_value.setdefault(ev(axis[idx // n], axis[idx % n]), []).append(idx)
+        classes.extend((tuple(m), v) for v, m in by_value.items() if len(m) > 1)
+    # Classes are disjoint, so tuple order compares least members only.
+    classes.sort()
 
     stats = {
         "inputs_evaluated": total,
         "fingerprint_candidates": candidates,
-        "exact_confirms": confirms,
+        "exact_confirms": candidates,
         "wall_time": time.perf_counter() - t0,
     }
     return CollisionReport(
         poly=poly,
         space=space,
-        pairs=out_pairs,
-        values=out_values,
+        classes=classes,
         stats=stats,
         primes=primes,
         checkpoint=checkpoint_path,
@@ -552,15 +546,8 @@ def naive_collisions(poly: MultiPoly, space: SearchSpace) -> CollisionReport:
     for idx in range(n * n):
         v = ev(axis[idx // n], axis[idx % n])
         by_value.setdefault(v, []).append(idx)
-    out_pairs: list[tuple[int, int]] = []
-    out_values: list = []
-    for v, members in by_value.items():
-        if len(members) < 2:
-            continue
-        for a, b in combinations(members, 2):
-            out_pairs.append((a, b))
-            out_values.append(v)
-    order = sorted(range(len(out_pairs)), key=out_pairs.__getitem__)
+    # Values enter the dict in order of their least input.
+    classes = [(tuple(m), v) for v, m in by_value.items() if len(m) > 1]
     stats = {
         "inputs_evaluated": n * n,
         "fingerprint_candidates": 0,
@@ -570,8 +557,7 @@ def naive_collisions(poly: MultiPoly, space: SearchSpace) -> CollisionReport:
     return CollisionReport(
         poly=poly,
         space=space,
-        pairs=[out_pairs[k] for k in order],
-        values=[out_values[k] for k in order],
+        classes=classes,
         stats=stats,
         primes=(),
         checkpoint=None,

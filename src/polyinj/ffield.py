@@ -317,6 +317,7 @@ def ff_collision_search(
     bound and asserts that distinct inputs always produce distinct values.
     Every trial's coefficients come from one Random(seed), in trial order,
     so the report does not depend on workers: they only build and verify.
+    A worker count below 1 is refused with ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -324,6 +325,8 @@ def ff_collision_search(
         raise ValueError("degree bound must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     rng = random.Random(seed)
     draws = (
         tuple(_random_coeffs(rng, p, degree_bound) for _ in range(4)) for _ in range(trials)

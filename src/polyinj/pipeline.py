@@ -243,9 +243,10 @@ def build_injection(
     g_report = find_collisions(
         g, SearchSpace("integers", height_bound), workers=workers
     )
-    residual_coords = sorted(
-        {Fraction(c) for (xy, zw, _v) in g_report.collisions for c in (*xy, *zw)}
-    )
+    residual_coords = sorted({
+        Fraction(c) for members, _ in g_report.classes
+        for i in members for c in g_report.input_pair(i)
+    })
 
     a = b = None
     box = height_bound

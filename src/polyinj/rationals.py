@@ -23,14 +23,11 @@ Rational = Fraction
 
 Fingerprint = tuple  # residues, one per prime; None where the prime divides the denominator
 
-# 62-bit primes, fixed for the lifetime of a search run and recorded in run
-# metadata.  The first two are the default join primes; all four are used
-# when a fingerprint bucket grows past the escalation threshold.
+# The default join primes: two 62-bit primes, fixed for the lifetime of a
+# search run and recorded in run metadata.  Two distinct values share a
+# fingerprint only when both primes divide the numerator of their difference,
+# and exact confirmation separates them then.
 FINGERPRINT_PRIMES = (4611686018427387847, 4611686018427387817)
-FINGERPRINT_PRIMES_EXTENDED = FINGERPRINT_PRIMES + (
-    4611686018427387787,
-    4611686018427387761,
-)
 
 
 def height(r: Fraction) -> int:

@@ -2,11 +2,11 @@
 
 Inside the integer box [-H, H]^2 the points of the surface are exactly the
 equal-value input pairs of F, so the scan is an adapter over the collision
-engine: ``find_collisions`` over the integer box supplies every pair of
-distinct inputs with equal form values, each input paired with itself
-supplies the diagonal, and the scan emits one projective point per ordered
-pair, canonicalizes, dedupes, and classifies each point as trivial-line or
-exceptional.
+engine: ``find_collisions`` over the integer box supplies the classes of
+inputs with equal form values, each input paired with itself supplies the
+diagonal, and the scan canonicalizes every ordered pair of class-mates into
+a plain coordinate tuple, dedupes the tuples, builds one ``ProjPoint`` per
+distinct tuple, and classifies each point as trivial-line or exceptional.
 
 Enumerating all integer pairs rather than only primitive ones is deliberate:
 primitivity of (x, y) alone does not make the 4-tuple primitive, and
@@ -16,6 +16,7 @@ post-canonicalization dedup is provably complete inside the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd
 
 from .collide import SearchSpace, find_collisions
@@ -47,22 +48,23 @@ class ProjPoint:
     @staticmethod
     def canonical(x: int, y: int, z: int, w: int) -> "ProjPoint | None":
         """Canonical representative of (x:y:z:w); None for the zero tuple."""
-        g = 0
-        for v in (x, y, z, w):
-            g = gcd(g, abs(v))
-        if g == 0:
-            return None
-        t = (x // g, y // g, z // g, w // g)
-        for v in t:
-            if v != 0:
-                if v < 0:
-                    t = (-t[0], -t[1], -t[2], -t[3])
-                break
-        return ProjPoint(t)
+        t = _canonical_coords(x, y, z, w)
+        return None if t is None else ProjPoint(t)
 
     def swap(self) -> "ProjPoint":
         x, y, z, w = self.coords
         return ProjPoint.canonical(z, w, x, y)
+
+
+def _canonical_coords(x: int, y: int, z: int, w: int) -> tuple[int, int, int, int] | None:
+    """Coordinates of the canonical representative of (x:y:z:w); None for the zero tuple."""
+    g = gcd(x, y, z, w)
+    if g == 0:
+        return None
+    # ``x or y or z or w`` is the first nonzero coordinate.
+    if (x or y or z or w) < 0:
+        g = -g
+    return (x // g, y // g, z // g, w // g)
 
 
 def is_trivial_point(point: ProjPoint, d: int) -> int | None:
@@ -128,20 +130,19 @@ def scan_surface(
         workers=workers,
         primes=primes,
     )
-    points: set[ProjPoint] = set()
+    box = range(-height, height + 1)
     # Diagonal points (x:y:x:y) come from every input paired with itself.
-    for x in range(-height, height + 1):
-        for y in range(-height, height + 1):
-            p = ProjPoint.canonical(x, y, x, y)
-            if p is not None:
-                points.add(p)
-    # Each unordered collision gives the point and its swap image; neither is
-    # the zero tuple, because the two inputs are distinct.
-    for (x, y), (z, w), _ in report.collisions:
-        points.add(ProjPoint.canonical(x, y, z, w))
-        points.add(ProjPoint.canonical(z, w, x, y))
+    coords = {_canonical_coords(x, y, x, y) for x in box for y in box}
+    coords.discard(None)
+    # Every ordered pair of class-mates is a point; none is the zero tuple,
+    # because class-mates are distinct inputs.
+    for members, _ in report.classes:
+        inputs = [report.input_pair(idx) for idx in members]
+        coords.update(
+            _canonical_coords(x, y, z, w) for (x, y), (z, w) in permutations(inputs, 2)
+        )
 
-    ordered = sorted(points, key=lambda p: p.coords)
+    ordered = [ProjPoint(t) for t in sorted(coords)]
     trivial, exceptional = classify(ordered, form.degree)
     return PointSet(
         form=form,

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import polyinj
 from polyinj.cli import main
 from polyinj.parser import MAX_NESTING
 
@@ -111,6 +115,18 @@ def test_invalid_counts_exit_1_structured():
     assert res.exit_code == 1
     err = json.loads(res.stderr)["error"]
     assert err["type"] == "ValueError" and "shard count" in err["message"]
+    res = run(["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "5",
+               "--shards", "0"])
+    assert res.exit_code == 1
+    assert "shard count" in json.loads(res.stderr)["error"]["message"]
+    for args in (["surface", "--form", "x^3+y^3", "--height", "5"],
+                 ["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "5"],
+                 ["build", "--form", "x^3+y^3", "--height", "5", "--seed", "1"],
+                 ["ffield", "--p", "3", "--deg", "2", "--trials", "5", "--seed", "0"]):
+        res = run([*args, "--threads", "0"])
+        assert res.exit_code == 1, args
+        err = json.loads(res.stderr)["error"]
+        assert err["type"] == "ValueError" and "worker count" in err["message"], args
     # Refused at once: mod 1 no nonzero denominator can ever be drawn.
     res2 = run(["ffield", "--p", "1", "--deg", "2", "--trials", "5", "--seed", "0"])
     assert res2.exit_code == 1
@@ -188,3 +204,26 @@ def test_corrupt_checkpoint_exit_1_structured(tmp_path):
     assert res.exit_code == 1
     err = json.loads(res.stderr)["error"]
     assert err["type"] == "ValueError" and str(ck) in err["message"]
+
+
+def test_collide_memory_does_not_grow_with_pairs(tmp_path):
+    # Constant 5 over integers in [-16, 16]: one class of 1,089 inputs, so
+    # 592,416 pairs and a 71 MB report, streamed to the file row by row.
+    # On Linux a process's ru_maxrss starts from the resident set of the
+    # process that spawned it, so a small wrapper interpreter stands between
+    # this test process and the command; it prints the command's peak in kB.
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'polyinj.cli', *sys.argv[1:]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyinj.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "c5.json"
+    args = ["collide", "--poly", "5", "--mode", "int", "--height", "16", "--threads", "1",
+            "--out", str(out), "--manifest", str(tmp_path / "m.json")]
+    proc = subprocess.run([sys.executable, "-c", wrapper, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert out.stat().st_size > 70_000_000
+    assert peak_mb < 100, peak_mb

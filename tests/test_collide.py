@@ -183,16 +183,30 @@ def test_forced_fingerprint_collisions_stay_sound():
         assert 0 < fast.stats["fingerprint_candidates"] <= fast.stats["inputs_evaluated"]
 
 
-def test_bucket_escalation_path(monkeypatch):
-    import polyinj.collide as collide_mod
+def test_classes_match_oracle_in_least_member_order():
+    # Tiny primes put several values in one bucket, so the join meets the
+    # classes out of order; the report still lists them by least member.
+    for text in ["x + y", "x*y", "x^3 + y^3"]:
+        poly, space = parse_poly(text), SearchSpace("integers", 6)
+        fast = find_collisions(poly, space, primes=(5, 7))
+        assert fast.classes == naive_collisions(poly, space).classes
+        least = [members[0] for members, _ in fast.classes]
+        assert least == sorted(least)
+        assert all(list(members) == sorted(members) for members, _ in fast.classes)
 
-    monkeypatch.setattr(collide_mod, "ESCALATION_THRESHOLD", 3)
+
+def test_bucket_escalation_path():
     poly = parse_poly("x^2")
     space = SearchSpace("integers", 2)
     fast = find_collisions(poly, space)
     slow = naive_collisions(poly, space)
     assert fast.pairs == slow.pairs
     assert fast.values == slow.values
+    # One bucket of all 1,089 inputs: each is evaluated exactly once.
+    const, box = parse_poly("5"), SearchSpace("integers", 16)
+    fast = find_collisions(const, box)
+    assert fast.classes == naive_collisions(const, box).classes == [(tuple(range(1089)), 5)]
+    assert fast.stats["fingerprint_candidates"] == fast.stats["exact_confirms"] == 1089
 
 
 def test_undefined_fingerprint_slots():
@@ -298,8 +312,8 @@ def test_report_text_matches_json_dumps_oracle():
         find_collisions(parse_poly("x^7+3*y^7"), SearchSpace("rationals", 3)),
         naive_empty,
         cube,
-        dataclasses.replace(cube, pairs=cube.pairs[:1], values=cube.values[:1]),
-        dataclasses.replace(cube, pairs=cube.pairs[-1:], values=cube.values[-1:]),
+        dataclasses.replace(cube, classes=cube.classes[:1]),
+        dataclasses.replace(cube, classes=cube.classes[-1:]),
         frac_report,
         find_collisions(frac, SearchSpace("rationals", 5), primes=(5, 7)),
         find_collisions(parse_poly("x*y"), SearchSpace("rationals", 4), primes=(5, 7)),
@@ -318,6 +332,9 @@ def test_report_text_matches_json_dumps_oracle():
     for rep in reports:
         oracle = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
         assert rep.to_json_text() == oracle
+        streamed = io.StringIO()
+        rep.write_json(streamed)
+        assert streamed.getvalue() == oracle
 
 
 def test_checkpoint_bytes_equal_json_dump(tmp_path):
@@ -466,6 +483,17 @@ def test_phase1_default_primes_never_evaluate_exactly(monkeypatch):
     for space in (SearchSpace("integers", 5), SearchSpace("rationals", 7)):
         assert len(_phase1_box(poly, space, FINGERPRINT_PRIMES, (17,))) == len(
             input_axis(space)) ** 2
+
+
+def test_bad_shard_and_worker_counts_refused_at_entry():
+    poly, space = parse_poly("x^3 + y^3"), SearchSpace("integers", 5)
+    for shards in (0, -1, 122):
+        with pytest.raises(ValueError, match="shard count"):
+            find_collisions(poly, space, shards=shards)
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="worker count"):
+            find_collisions(poly, space, workers=workers)
+    assert len(find_collisions(poly, space, shards=None, workers=None).pairs) == 105
 
 
 def test_bad_prime_tuples_refused_at_entry():

@@ -174,6 +174,9 @@ def test_search_validation():
         ff_collision_search(5, -1, 10, seed=0)
     with pytest.raises(ValueError):
         ff_collision_search(5, 2, 0, seed=0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="worker count"):
+            ff_collision_search(5, 2, 10, seed=0, workers=workers)
     for p in (1, 4, 0):
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             ff_collision_search(p, 2, 5, seed=0)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from polyinj.rationals import (
     FINGERPRINT_PRIMES,
-    FINGERPRINT_PRIMES_EXTENDED,
     fingerprint,
     height,
     int_nth_root,
@@ -53,9 +52,8 @@ def test_fingerprint_prime_validation():
 
 
 def test_default_primes_are_prime_distinct_wordsized():
-    assert len(set(FINGERPRINT_PRIMES_EXTENDED)) == 4
-    assert FINGERPRINT_PRIMES == FINGERPRINT_PRIMES_EXTENDED[:2]
-    for q in FINGERPRINT_PRIMES_EXTENDED:
+    assert len(set(FINGERPRINT_PRIMES)) == 2
+    for q in FINGERPRINT_PRIMES:
         assert q.bit_length() == 62
         assert is_prime(q)
 
@@ -84,9 +82,6 @@ def test_equal_values_equal_fingerprints(num, den, scale):
     b = Fraction(num * scale, den * scale)
     assert a == b
     assert fingerprint(a, FINGERPRINT_PRIMES) == fingerprint(b, FINGERPRINT_PRIMES)
-    assert fingerprint(a, FINGERPRINT_PRIMES_EXTENDED) == fingerprint(
-        b, FINGERPRINT_PRIMES_EXTENDED
-    )
 
 
 def test_no_false_equalities_on_random_distinct_rationals():
