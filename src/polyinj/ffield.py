@@ -11,9 +11,11 @@ randomized search that hammers on the injection.
 Polynomial coefficient vectors are tuples, low degree first, trailing zeros
 trimmed; the zero polynomial is ().  A value of F_p(t) is FpRatFun(p, num,
 den) over two such tuples, and FpRatFun.__post_init__ is the one place that
-reduces mod p and puts num/den in canonical form.  ff_eval_injection builds
-x^p + t*y^p straight from the Frobenius-moved tuples and reduces it once.
-Values over different primes are refused with ValueError.
+reduces mod p and puts num/den in canonical form.  One helper builds
+x^p + t*y^p, unreduced, straight from the Frobenius-moved tuples:
+ff_eval_injection reduces it once, and verify_injection decides a trial
+without any gcd, by cross multiplication (a/b = c/d iff a*d = b*c in a field
+of fractions).  Values over different primes are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -29,10 +31,14 @@ Coeffs = tuple[int, ...]
 
 
 def ptrim(cs) -> Coeffs:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    """cs as a coefficient tuple with trailing zeros cut off by one slice."""
+    cs = tuple(cs)
+    if not cs or cs[-1]:
+        return cs
+    n = len(cs) - 1
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
 
 
 def padd(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
@@ -71,9 +77,10 @@ def pmul(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     na = int.from_bytes(array(code, a).tobytes(), "little")
     nb = int.from_bytes(array(code, b).tobytes(), "little")
     prod = na * nb
-    nlen = (len(a) + len(b)) * width
+    # The product has len(a) + len(b) - 1 digits, each below 2**(8 * width).
+    nlen = (len(a) + len(b) - 1) * width
     digits = array(code, prod.to_bytes(nlen, "little"))
-    return ptrim(d % p for d in digits)
+    return ptrim([d % p for d in digits])
 
 
 def _pmul_school(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
@@ -224,17 +231,22 @@ def _common_prime(p: int, *values: FpRatFun) -> int:
     return p
 
 
-def ff_eval_injection(p: int, x: FpRatFun, y: FpRatFun) -> FpRatFun:
-    """x^p + t * y^p in canonical form, reduced once.
+def _injection_terms(p: int, x: FpRatFun, y: FpRatFun) -> tuple[Coeffs, Coeffs]:
+    """x^p + t * y^p as an unreduced (num, den) pair of coefficient tuples.
 
     With the Frobenius-moved tuples N(t) = n(t^p) and D(t) = d(t^p), the
-    value is (N_x D_y + t N_y D_x) / (D_x D_y).
+    value is (N_x D_y + t N_y D_x) / (D_x D_y).  The caller checks primes.
     """
-    _common_prime(p, x, y)
     nx, dx = pfrob(x.num, p), pfrob(x.den, p)
     ny, dy = pfrob(y.num, p), pfrob(y.den, p)
     n = padd(pmul(nx, dy, p), (0,) + pmul(ny, dx, p), p)
-    return FpRatFun(p, n, pmul(dx, dy, p))
+    return n, pmul(dx, dy, p)
+
+
+def ff_eval_injection(p: int, x: FpRatFun, y: FpRatFun) -> FpRatFun:
+    """x^p + t * y^p in canonical form, reduced once."""
+    _common_prime(p, x, y)
+    return FpRatFun(p, *_injection_terms(p, x, y))
 
 
 def is_pth_power(h: FpRatFun) -> bool:
@@ -249,14 +261,29 @@ def is_pth_power(h: FpRatFun) -> bool:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of one injection check: equal inputs, or distinct values."""
+    """Outcome of one injection check: equal inputs, or distinct values.
+
+    For distinct values, cross holds the unreduced values' cross products
+    n1*d2 and n2*d1 and their denominators d1 and d2.  delta, the canonical
+    value1 - value2, is built from them only when read; it is None for
+    equal inputs.
+    """
 
     kind: str  # "equal_inputs" | "distinct_values"
-    delta: FpRatFun | None
+    p: int
+    cross: tuple[Coeffs, Coeffs, Coeffs, Coeffs] | None = None
 
     @property
     def is_equal_inputs(self) -> bool:
         return self.kind == "equal_inputs"
+
+    @property
+    def delta(self) -> FpRatFun | None:
+        if self.cross is None:
+            return None
+        p = self.p
+        c1, c2, d1, d2 = self.cross
+        return FpRatFun(p, psub(c1, c2, p), pmul(d1, d2, p))
 
 
 def verify_injection(
@@ -266,18 +293,22 @@ def verify_injection(
 ) -> VerificationResult:
     """Check injectivity of x^p + t*y^p on one pair of input points.
 
-    Either the inputs are equal, or the values differ (delta returned).
-    A vanishing delta on distinct inputs would exhibit t as a p-th power;
-    that branch is unreachable and guarded by an assertion.
+    Either the canonical inputs are equal, or the values differ.  Both
+    values are built unreduced and compared literally by cross
+    multiplication, n1/d1 = n2/d2 iff n1*d2 = n2*d1, so no gcd runs here.
+    A vanishing difference on distinct inputs would exhibit t as a p-th
+    power; that branch is unreachable, and it builds the witness and raises.
     """
     x1, y1 = pair1
     x2, y2 = pair2
     _common_prime(p, x1, y1, x2, y2)
     if x1 == x2 and y1 == y2:
-        return VerificationResult("equal_inputs", None)
-    delta = ff_eval_injection(p, x1, y1) - ff_eval_injection(p, x2, y2)
-    if not delta.is_zero():
-        return VerificationResult("distinct_values", delta)
+        return VerificationResult("equal_inputs", p)
+    n1, d1 = _injection_terms(p, x1, y1)
+    n2, d2 = _injection_terms(p, x2, y2)
+    c1, c2 = pmul(n1, d2, p), pmul(n2, d1, p)
+    if c1 != c2:
+        return VerificationResult("distinct_values", p, (c1, c2, d1, d2))
     # Unreachable: equal values on distinct inputs give
     # (x1-x2)^p = t*(y2-y1)^p, so t = ((x1-x2)/(y2-y1))^p would be a p-th
     # power of the witness below.

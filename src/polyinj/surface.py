@@ -4,9 +4,10 @@ Inside the integer box [-H, H]^2 the points of the surface are exactly the
 equal-value input pairs of F, so the scan is an adapter over the collision
 engine: ``find_collisions`` over the integer box supplies the classes of
 inputs with equal form values, each input paired with itself supplies the
-diagonal, and the scan canonicalizes every ordered pair of class-mates into
-a plain coordinate tuple, dedupes the tuples, builds one ``ProjPoint`` per
-distinct tuple, and classifies each point as trivial-line or exceptional.
+diagonal, and the scan canonicalizes every unordered pair of class-mates
+(each swap comes from the negated class) into a plain coordinate tuple,
+dedupes the tuples, builds one ``ProjPoint`` per distinct tuple, and
+classifies each point as trivial-line or exceptional.
 
 Enumerating all integer pairs rather than only primitive ones is deliberate:
 primitivity of (x, y) alone does not make the 4-tuple primitive, and
@@ -16,7 +17,7 @@ post-canonicalization dedup is provably complete inside the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 from math import gcd
 
 from .collide import SearchSpace, find_collisions
@@ -135,11 +136,15 @@ def scan_surface(
     coords = {_canonical_coords(x, y, x, y) for x in box for y in box}
     coords.discard(None)
     # Every ordered pair of class-mates is a point; none is the zero tuple,
-    # because class-mates are distinct inputs.
+    # because class-mates are distinct inputs.  One order per pair is enough:
+    # F is homogeneous, so F(-x, -y) = (-1)^d F(x, y) and negating a class
+    # gives a class, and on the symmetric box negation reverses index order.
+    # So the later-first pair ((z, w), (x, y)) is the negation of an
+    # earlier-first pair ((-z, -w), (-x, -y)), the same projective point.
     for members, _ in report.classes:
         inputs = [report.input_pair(idx) for idx in members]
         coords.update(
-            _canonical_coords(x, y, z, w) for (x, y), (z, w) in permutations(inputs, 2)
+            _canonical_coords(x, y, z, w) for (x, y), (z, w) in combinations(inputs, 2)
         )
 
     ordered = [ProjPoint(t) for t in sorted(coords)]

@@ -149,6 +149,60 @@ def test_verify_injection_examples():
     assert r3.delta.num == (0, 0, 0, 1)  # t^3
 
 
+def test_swapped_inputs_give_distinct_values():
+    # x^p + t*y^p is not symmetric in x and y; without the t the swap collides.
+    rng = random.Random(41)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            x, y = _random_ratfun(rng, p, 2), _random_ratfun(rng, p, 2)
+            if x != y:
+                assert verify_injection(p, (x, y), (y, x)).kind == "distinct_values"
+
+
+def test_equal_numerators_are_not_equal_inputs():
+    # Inputs with one numerator over different denominators are distinct, and
+    # so are their values, whose numerators agree too when y vanishes.
+    for p in (2, 3, 5):
+        zero, one = rf(p, ()), rf(p, (1,))
+        over_t, over_t1 = rf(p, (1,), (0, 1)), rf(p, (1,), (1, 1))
+        for y in (zero, one, FpRatFun.t(p)):
+            r = verify_injection(p, (over_t, y), (over_t1, y))
+            assert r.kind == "distinct_values"
+            assert r.delta == over_t.frobenius() - over_t1.frobenius()
+        assert verify_injection(p, (one, over_t), (one, over_t1)).kind == "distinct_values"
+
+
+def test_lazy_delta_is_the_canonical_difference_of_values():
+    rng = random.Random(43)
+    for p in (2, 3, 5, 7):
+        t = FpRatFun.t(p)
+        for _ in range(30):
+            x1, y1, x2, y2 = (_random_ratfun(rng, p, 3) for _ in range(4))
+            r = verify_injection(p, (x1, y1), (x2, y2))
+            assert r.kind == "distinct_values"
+            expected = x1.frobenius() + t * y1.frobenius() - (x2.frobenius() + t * y2.frobenius())
+            assert r.delta == expected
+            assert not r.delta.is_zero()
+    x = rf(3, (1, 2), (0, 1))
+    assert verify_injection(3, (x, x), (x, x)).delta is None
+
+
+def test_search_equal_inputs_grid_pinned():
+    # equal_inputs of ff_collision_search(p, d, 300, seed=s) as computed by
+    # the canonical-form comparison of earlier releases; every other cell is 0.
+    pinned = {
+        (2, 0, 1): 70, (2, 0, 2): 80, (2, 1, 1): 3, (2, 1, 2): 10,
+        (3, 0, 1): 40, (3, 0, 2): 29, (5, 0, 1): 14, (5, 0, 2): 13,
+        (7, 0, 1): 7, (7, 0, 2): 8, (7, 1, 2): 1,
+    }
+    for p in (2, 3, 5, 7):
+        for d in (0, 1, 3):
+            for s in (1, 2):
+                rep = ff_collision_search(p, d, 300, seed=s)
+                assert rep["equal_inputs"] == pinned.get((p, d, s), 0), (p, d, s)
+                assert rep["distinct_values"] == 300 - rep["equal_inputs"]
+
+
 def test_search_reports_zero_collisions():
     rep = ff_collision_search(2, 3, 500, seed=101)
     assert rep["collisions"] == 0
