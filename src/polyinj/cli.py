@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import secrets
 import sys
 import time
@@ -136,15 +135,12 @@ def main():
 @click.option("--out", "out_path", default=None, help="output JSON path (default stdout)")
 @click.option("--manifest", "manifest_path", default=None)
 @click.option("--shards", type=int, default=None)
-@click.option("--threads", type=int, default=None, help="worker processes (default: all cores)")
-def surface(form_text, height, out_path, manifest_path, shards, threads):
+def surface(form_text, height, out_path, manifest_path, shards):
     """Scan F(x,y)=F(z,w) for rational points of bounded height."""
     t0 = time.perf_counter()
     try:
         form, source = _load_form(form_text)
-        result = scan_surface(
-            form, height, shards=shards, workers=os.cpu_count() if threads is None else threads
-        )
+        result = scan_surface(form, height, shards=shards)
         outputs = _emit(_dumps(result.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
@@ -159,8 +155,7 @@ def surface(form_text, height, out_path, manifest_path, shards, threads):
 @click.option("--max-twists", type=int, default=8)
 @click.option("--out", "out_path", default=None)
 @click.option("--manifest", "manifest_path", default=None)
-@click.option("--threads", type=int, default=None)
-def build(form_text, height, seed, max_twists, out_path, manifest_path, threads):
+def build(form_text, height, seed, max_twists, out_path, manifest_path):
     """Run the full construction and emit a replayable trace."""
     t0 = time.perf_counter()
     if seed is None:
@@ -169,11 +164,7 @@ def build(form_text, height, seed, max_twists, out_path, manifest_path, threads)
     try:
         form, source = _load_form(form_text)
         trace = build_injection(
-            form,
-            height_bound=height,
-            rng_seed=seed,
-            max_twists=max_twists,
-            workers=os.cpu_count() if threads is None else threads,
+            form, height_bound=height, rng_seed=seed, max_twists=max_twists
         )
         outputs = _emit(_dumps(trace.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
@@ -189,22 +180,16 @@ def build(form_text, height, seed, max_twists, out_path, manifest_path, threads)
 @click.option("--out", "out_path", default=None)
 @click.option("--manifest", "manifest_path", default=None)
 @click.option("--shards", type=int, default=None)
-@click.option("--threads", type=int, default=None)
 @click.option("--checkpoint", "checkpoint_path", default=None)
 @click.option("--resume", is_flag=True, default=False)
-def collide(poly_text, mode, height, out_path, manifest_path, shards, threads, checkpoint_path, resume):
+def collide(poly_text, mode, height, out_path, manifest_path, shards, checkpoint_path, resume):
     """Exhaustive collision search for f(x,y) = f(z,w) at bounded height."""
     t0 = time.perf_counter()
     try:
         poly, source = _load_poly(poly_text)
         space = SearchSpace("integers" if mode == "int" else "rationals", height)
         report = find_collisions(
-            poly,
-            space,
-            shards=shards,
-            workers=os.cpu_count() if threads is None else threads,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
+            poly, space, shards=shards, checkpoint_path=checkpoint_path, resume=resume
         )
         outputs = _stream(report.write_json, out_path)
     except _DOMAIN_ERRORS as exc:

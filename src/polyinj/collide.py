@@ -17,8 +17,9 @@ height:
 Every reported collision is exactly confirmed; fingerprints can only cost
 time, never soundness.  A class of k inputs is held as k indices; its
 k(k-1)/2 pairs are walked, never stored or sorted, when a report is read
-or written.  Reports are deterministic: identical inputs give
-byte-identical JSON regardless of worker or shard count.
+or written.  The join runs in one process, shard after shard; shards are
+the units of checkpointing.  Reports are deterministic: identical inputs
+give byte-identical JSON regardless of shard count.
 
 ``write_json`` streams a report in the ``json.dumps(indent=2,
 sort_keys=True)`` layout, one row (an input and its later class-mates) at
@@ -41,7 +42,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -185,9 +185,10 @@ def _row_residues(table, i, lo, hi):
     return [a % q for a in acc]
 
 
-def _phase1_shard(payload):
-    """(fingerprint, index) for inputs start..end-1, computed in residues.
+def _phase1_shard(rows, axis, start, end, primes):
+    """(fingerprint, index) for inputs start..end-1 of axis x axis, in residues.
 
+    ``rows`` are f's compiled terms and ``primes`` the fingerprint primes.
     Per prime q the coefficients and axis values are reduced mod q once;
     each x is folded into a polynomial in y, whose value at every y of the
     row is a few word-sized products.  An input is reduced only when q is
@@ -196,8 +197,6 @@ def _phase1_shard(payload):
     involved, so the residue equals the fingerprint of the exact value.
     Any other input is evaluated exactly and fingerprinted as such.
     """
-    rows, mode, height, start, end, primes = payload
-    axis = input_axis(SearchSpace(mode, height))
     n = len(axis)
     ev = make_evaluator(rows)
 
@@ -427,7 +426,7 @@ def find_collisions(
     space: SearchSpace,
     *,
     shards: int | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     primes: tuple[int, ...] = FINGERPRINT_PRIMES,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -436,10 +435,11 @@ def find_collisions(
     """Complete collision search over the space via the fingerprint join.
 
     The report's classes are exactly the sets of two or more inputs with
-    one exact value.  Shard and worker counts below 1 raise ValueError.
-    ``stop_after_shards`` aborts after that many newly completed shards
-    (checkpoint intact) and exists so interruption can be tested
-    deterministically.
+    one exact value.  Shards run one after another in this process; a
+    shard count outside [1, inputs] raises ValueError, and so does any
+    ``workers`` but 1.  ``stop_after_shards`` aborts after that many newly
+    completed shards (checkpoint intact) and exists so interruption can be
+    tested deterministically.
     """
     t0 = time.perf_counter()
     check_fingerprint_primes(primes)
@@ -450,9 +450,9 @@ def find_collisions(
     shards = _default_shards(total) if shards is None else shards
     if not 1 <= shards <= total:
         raise ValueError(f"shard count must be in [1, {total}], got {shards}")
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    if workers != 1:
+        raise ValueError(f"worker count must be 1: the collision join runs in one process, "
+                         f"got {workers}")
     header = _checkpoint_header(poly, space, shards, primes)
 
     ranges = _shard_ranges(total, shards)
@@ -461,34 +461,13 @@ def find_collisions(
         completed = _load_checkpoint(checkpoint_path, header, ranges)
 
     pending = [s for s in range(shards) if s not in completed]
-    payloads = {
-        s: (rows, space.mode, space.height, ranges[s][0], ranges[s][1], primes)
-        for s in pending
-    }
-
-    done_this_run = 0
-
-    def note_done(sid, result):
-        nonlocal done_this_run
-        completed[sid] = result
-        done_this_run += 1
+    for done_this_run, s in enumerate(pending, 1):
+        completed[s] = _phase1_shard(rows, axis, *ranges[s], primes)
         if checkpoint_path:
             _write_checkpoint(checkpoint_path, header, completed)
-        if (
-            stop_after_shards is not None
-            and done_this_run >= stop_after_shards
-            and len(completed) < shards
-        ):
+        stopped = stop_after_shards is not None and done_this_run >= stop_after_shards
+        if stopped and len(completed) < shards:
             raise SearchInterrupted(checkpoint_path or "<no checkpoint>")
-
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {s: pool.submit(_phase1_shard, payloads[s]) for s in pending}
-            for s in pending:
-                note_done(s, futures[s].result())
-    else:
-        for s in pending:
-            note_done(s, _phase1_shard(payloads[s]))
 
     # Keep only fingerprints shared by two or more inputs.  Each bucket
     # lists its indices in ascending order (shards merge in id order).

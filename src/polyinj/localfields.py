@@ -119,8 +119,8 @@ def real_collision(
     x1 = x0 + delta exactly; y1 solves f(x1, y) = f(x0, y0) numerically.
     Requires df/dy nonzero at the base point (checked exactly).
     """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not tol >= 0:  # also refuses NaN, for which tol < 0 is false
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
     x0, y0 = Fraction(x0), Fraction(y0)
     if delta == 0:
         raise ValueError("delta must be nonzero: the returned point must differ in x")

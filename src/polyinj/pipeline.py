@@ -205,17 +205,20 @@ def build_injection(
     height_bound: int,
     rng_seed: int,
     max_twists: int = 8,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ConstructionTrace:
     """Run the whole construction and return its replayable trace.
 
     Twisting repeats until the bounded-height exceptional set empties or
     max_twists is hit (the trace is then flagged unreduced, not an error).
     The (a, b) draw rejects any pair whose p-th-power map could reach a
-    coordinate of a residual collision of G found in the box.
+    coordinate of a residual collision of G found in the box.  A height
+    bound below 1 or a negative max_twists raises ValueError.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
+    if max_twists < 0:
+        raise ValueError(f"twist budget must be >= 0, got {max_twists}")
     rng = random.Random(rng_seed)
     p = choose_prime(2)
     draws: list[DrawEvent] = []

@@ -115,14 +115,15 @@ def scan_surface(
     height: int,
     *,
     shards: int | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     primes: tuple[int, ...] = FINGERPRINT_PRIMES,
 ) -> PointSet:
     """All canonical points of F(x,y)=F(z,w) with coordinates in [-H, H].
 
     Complete within the box: a canonical point's own coordinate pairs lie in
     the box, so the collision join over all pairs recovers it.  ``shards``,
-    ``workers`` and ``primes`` are passed to ``find_collisions`` unchanged.
+    ``workers`` and ``primes`` are passed to ``find_collisions`` unchanged;
+    the join runs in one process, so ``workers`` must be 1.
     """
     report = find_collisions(
         form.to_multipoly(),

@@ -55,7 +55,7 @@ def test_criterion_01_collision_engine_oracle_equivalence():
 def test_criterion_02_taxicab_regression():
     t0 = time.perf_counter()
     f3 = form("x^3 + y^3")
-    ps = scan_surface(f3, 12, workers=WORKERS)
+    ps = scan_surface(f3, 12)
     exc = {p.coords for p in ps.exceptional}
     assert (1, 12, 9, 10) in exc
     assert (9, 10, 1, 12) in exc  # the swap image
@@ -79,19 +79,19 @@ def test_criterion_03_zagier_scan_with_checkpoint_resume(tmp_path):
     poly = parse_poly("x^7 + 3*y^7")
     space = SearchSpace("integers", 100)
     ck = str(tmp_path / "zagier.ck")
-    full = find_collisions(poly, space, shards=8, workers=WORKERS, checkpoint_path=ck)
+    full = find_collisions(poly, space, shards=8, checkpoint_path=ck)
     assert full.pairs == []
     # Kill at an interior shard, then resume: byte-identical report.
     os.remove(ck)
     try:
         find_collisions(
-            poly, space, shards=8, workers=1, checkpoint_path=ck, stop_after_shards=3
+            poly, space, shards=8, checkpoint_path=ck, stop_after_shards=3
         )
         raise AssertionError("interruption hook did not fire")
     except SearchInterrupted:
         pass
     resumed = find_collisions(
-        poly, space, shards=8, workers=WORKERS, checkpoint_path=ck, resume=True
+        poly, space, shards=8, checkpoint_path=ck, resume=True
     )
     assert resumed.to_json_text() == full.to_json_text()
     _report(3, "Zagier x^7+3y^7 empty at H=100 with kill/resume", time.perf_counter() - t0, 600)
@@ -100,11 +100,11 @@ def test_criterion_03_zagier_scan_with_checkpoint_resume(tmp_path):
 def test_criterion_04_pipeline_determinism_and_shape():
     t0 = time.perf_counter()
     f5 = form("x^5 + 3*y^5")
-    tr1 = build_injection(f5, height_bound=30, rng_seed=1, workers=WORKERS)
-    tr2 = build_injection(f5, height_bound=30, rng_seed=1, workers=WORKERS)
+    tr1 = build_injection(f5, height_bound=30, rng_seed=1)
+    tr2 = build_injection(f5, height_bound=30, rng_seed=1)
     assert tr1.to_json_text() == tr2.to_json_text()
     assert tr1.f_poly.total_degree() == 125 == 5 * 5 * 5
-    rep = find_collisions(tr1.f_poly, SearchSpace("integers", 10), workers=WORKERS)
+    rep = find_collisions(tr1.f_poly, SearchSpace("integers", 10))
     assert rep.pairs == []
     _report(4, "build_injection(x^5+3y^5, 30, seed 1) deterministic, deg 125, no collisions",
             time.perf_counter() - t0, 300)

@@ -119,14 +119,21 @@ def test_invalid_counts_exit_1_structured():
                "--shards", "0"])
     assert res.exit_code == 1
     assert "shard count" in json.loads(res.stderr)["error"]["message"]
+    res = run(["ffield", "--p", "3", "--deg", "2", "--trials", "5", "--seed", "0",
+               "--threads", "0"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValueError" and "worker count" in err["message"]
+    # The collision join runs in one process: its commands have no --threads.
     for args in (["surface", "--form", "x^3+y^3", "--height", "5"],
                  ["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "5"],
-                 ["build", "--form", "x^3+y^3", "--height", "5", "--seed", "1"],
-                 ["ffield", "--p", "3", "--deg", "2", "--trials", "5", "--seed", "0"]):
-        res = run([*args, "--threads", "0"])
-        assert res.exit_code == 1, args
-        err = json.loads(res.stderr)["error"]
-        assert err["type"] == "ValueError" and "worker count" in err["message"], args
+                 ["build", "--form", "x^3+y^3", "--height", "5", "--seed", "1"]):
+        assert run([*args, "--threads", "2"]).exit_code == 2, args
+    res = run(["build", "--form", "x^3+y^3", "--height", "4", "--seed", "1",
+               "--max-twists", "-3"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValueError" and "twist budget" in err["message"]
     # Refused at once: mod 1 no nonzero denominator can ever be drawn.
     res2 = run(["ffield", "--p", "1", "--deg", "2", "--trials", "5", "--seed", "0"])
     assert res2.exit_code == 1
@@ -220,7 +227,7 @@ def test_collide_memory_does_not_grow_with_pairs(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyinj.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path / "c5.json"
-    args = ["collide", "--poly", "5", "--mode", "int", "--height", "16", "--threads", "1",
+    args = ["collide", "--poly", "5", "--mode", "int", "--height", "16",
             "--out", str(out), "--manifest", str(tmp_path / "m.json")]
     proc = subprocess.run([sys.executable, "-c", wrapper, *args], env=env, capture_output=True,
                           text=True, check=True)

@@ -115,7 +115,7 @@ def test_determinism_across_shards_and_workers():
     space = SearchSpace("integers", 12)
     base = find_collisions(poly, space).to_json_text()
     assert find_collisions(poly, space, shards=5).to_json_text() == base
-    assert find_collisions(poly, space, shards=7, workers=2).to_json_text() == base
+    assert find_collisions(poly, space, shards=7).to_json_text() == base
     # Rational boxes, also with tiny primes that force phase 1's exact
     # fallback on some inputs (q = 5 against 1/5, axis denominators 5).
     space = SearchSpace("rationals", 5)
@@ -125,8 +125,8 @@ def test_determinism_across_shards_and_workers():
             rep = find_collisions(poly, space, primes=primes)
             assert rep.pairs == naive_collisions(poly, space).pairs
             base = rep.to_json_text()
-            for shards, workers in ((7, 2), (13, 2), (11, 1)):
-                assert find_collisions(poly, space, shards=shards, workers=workers,
+            for shards in (7, 13, 11):
+                assert find_collisions(poly, space, shards=shards,
                                        primes=primes).to_json_text() == base
 
 
@@ -341,9 +341,9 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path):
     poly, space = parse_poly("(1/5)*x^2+(1/7)*y+(1/3)*x*y"), SearchSpace("rationals", 4)
     for primes in (FINGERPRINT_PRIMES, (5, 7)):
         ranges = _shard_ranges(len(input_axis(space)) ** 2, 3)
-        # Out of id order, as shards finished by a worker pool can be.
-        completed = {s: _phase1_shard((compile_xy_terms(poly), space.mode, space.height,
-                                       start, end, primes))
+        # Out of id order: the writer keeps the dict's own order.
+        completed = {s: _phase1_shard(compile_xy_terms(poly), input_axis(space),
+                                      start, end, primes)
                      for s, (start, end) in zip((2, 0), (ranges[2], ranges[0]))}
         header = _checkpoint_header(poly, space, 3, primes)
         ck = str(tmp_path / "scan.ck")
@@ -432,11 +432,11 @@ def test_engine_matches_oracle_on_random_polys():
 def _phase1_box(poly, space, primes, cuts=()):
     """Phase 1 over the whole box, run as shards split at the given indices."""
     rows = compile_xy_terms(poly)
-    n = len(input_axis(space))
-    bounds = [0, *cuts, n * n]
+    axis = input_axis(space)
+    bounds = [0, *cuts, len(axis) ** 2]
     out = []
     for start, end in zip(bounds, bounds[1:]):
-        out += _phase1_shard((rows, space.mode, space.height, start, end, primes))
+        out += _phase1_shard(rows, axis, start, end, primes)
     return out
 
 
@@ -490,10 +490,10 @@ def test_bad_shard_and_worker_counts_refused_at_entry():
     for shards in (0, -1, 122):
         with pytest.raises(ValueError, match="shard count"):
             find_collisions(poly, space, shards=shards)
-    for workers in (0, -4):
+    for workers in (0, -4, 2):
         with pytest.raises(ValueError, match="worker count"):
             find_collisions(poly, space, workers=workers)
-    assert len(find_collisions(poly, space, shards=None, workers=None).pairs) == 105
+    assert len(find_collisions(poly, space, shards=None).pairs) == 105
 
 
 def test_bad_prime_tuples_refused_at_entry():

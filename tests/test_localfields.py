@@ -75,6 +75,8 @@ def test_real_rejects_constant_and_bad_tol():
     with pytest.raises(ValueError):
         real_collision(parse_poly("x + y"), 0, 0, -1.0)
     with pytest.raises(ValueError):
+        real_collision(parse_poly("x + y"), 0, 0, float("nan"))
+    with pytest.raises(ValueError):
         real_collision(parse_poly("x + y"), 0, 0, 1e-9, delta=Fraction(0))
 
 

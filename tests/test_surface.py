@@ -106,7 +106,7 @@ def test_scan_deterministic_across_shards_workers():
     f = form("x^3 + y^3")
     a = scan_surface(f, 10)
     b = scan_surface(f, 10, shards=5)
-    c = scan_surface(f, 10, shards=4, workers=2)
+    c = scan_surface(f, 10, shards=4)
     d = scan_surface(f, 10, primes=(5, 7))  # forced fingerprint collisions
     assert a == b == c == d
 
