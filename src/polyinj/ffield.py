@@ -11,16 +11,24 @@ randomized search that hammers on the injection.
 Polynomial coefficient vectors are tuples, low degree first, trailing zeros
 trimmed; the zero polynomial is ().  A value of F_p(t) is FpRatFun(p, num,
 den) over two such tuples, and FpRatFun.__post_init__ is the one place that
-reduces mod p and puts num/den in canonical form.  One helper builds
-x^p + t*y^p, unreduced, straight from the Frobenius-moved tuples:
-ff_eval_injection reduces it once, and verify_injection decides a trial
-without any gcd, by cross multiplication (a/b = c/d iff a*d = b*c in a field
-of fractions).  Values over different primes are refused with ValueError.
+reduces mod p and puts num/den in canonical form.  Products use Kronecker
+substitution: one helper packs coefficient tuples into integers, at a digit
+width proven wide enough that no digit carries, and reads digits back.
+
+One helper builds x^p + t*y^p, unreduced and packed, straight from the
+Frobenius-moved tuples: ff_eval_injection reduces it once.  One kernel,
+_decide_trial, decides an injection check on raw (num, den) tuples, with no
+gcd and no FpRatFun: the two values are compared by cross multiplication
+(a/b = c/d iff a*d = b*c in a field of fractions) as packed integers, and the
+inputs are compared the same way only when the values are equal.
+verify_injection and the randomized search both call it.  Values over
+different primes are refused with ValueError.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -57,39 +65,51 @@ def psub(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     return ptrim(out)
 
 
+# array type codes by item size; the packed form is in the platform's byte order.
+_ARRAY_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _digit_width(top: int) -> int:
+    """Bytes per digit for digits in 0..top: 1, 2, 4 or 8 where one suffices."""
+    nbytes = max(1, -(-top.bit_length() // 8))
+    return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
+
+
+def _pack(cs, width: int) -> int:
+    """Coefficients 0 <= c < 256**width as one integer, width bytes per digit."""
+    code = _ARRAY_CODES.get(width)
+    if code:
+        return int.from_bytes(array(code, cs), sys.byteorder)
+    return int.from_bytes(b"".join([c.to_bytes(width, sys.byteorder) for c in cs]), sys.byteorder)
+
+
+def _unpack(n: int, width: int, count: int):
+    """The low count digits of n >= 0, width bytes each, low digit first."""
+    raw = n.to_bytes(count * width, sys.byteorder)
+    code = _ARRAY_CODES.get(width)
+    if code:
+        return array(code, raw)
+    return [int.from_bytes(raw[i : i + width], sys.byteorder) for i in range(0, len(raw), width)]
+
+
+def _reduce(n: int, width: int, p: int) -> Coeffs:
+    """The digits of n >= 0 reduced mod p, as a trimmed coefficient tuple."""
+    count = -(-n.bit_length() // (8 * width))
+    return ptrim([d % p for d in _unpack(n, width, count)])
+
+
 def pmul(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     """Product via Kronecker substitution: pack into one big integer each,
     multiply, and read coefficient sums out of the digits.
 
-    Digit width is chosen so convolution sums cannot overflow a digit.
+    Coefficients lie in 0..p-1.  A digit of the product sums at most
+    min(len(a), len(b)) terms below p**2, so the digit width keeps those
+    sums from carrying into the next digit.
     """
     if not a or not b:
         return ()
-    bound = (p - 1) * (p - 1) * min(len(a), len(b)) + 1
-    if bound <= 1 << 16:
-        code = "H"
-        width = 2
-    elif bound <= 1 << 32:
-        code = "I"
-        width = 4
-    else:
-        return _pmul_school(a, b, p)
-    na = int.from_bytes(array(code, a).tobytes(), "little")
-    nb = int.from_bytes(array(code, b).tobytes(), "little")
-    prod = na * nb
-    # The product has len(a) + len(b) - 1 digits, each below 2**(8 * width).
-    nlen = (len(a) + len(b) - 1) * width
-    digits = array(code, prod.to_bytes(nlen, "little"))
-    return ptrim([d % p for d in digits])
-
-
-def _pmul_school(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return ptrim(c % p for c in out)
+    width = _digit_width((p - 1) * (p - 1) * min(len(a), len(b)))
+    return _reduce(_pack(a, width) * _pack(b, width), width, p)
 
 
 def pdivmod(a: Coeffs, b: Coeffs, p: int) -> tuple[Coeffs, Coeffs]:
@@ -108,8 +128,17 @@ def pdivmod(a: Coeffs, b: Coeffs, p: int) -> tuple[Coeffs, Coeffs]:
 
 
 def pgcd(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
+    """Monic gcd by Euclid's algorithm; each step keeps only the remainder."""
     while b:
-        a, b = b, pdivmod(a, b, p)[1]
+        r = list(a)
+        nb = len(b)
+        inv = pow(b[-1], -1, p)
+        for k in range(len(r) - nb, -1, -1):
+            c = r[k + nb - 1] * inv % p
+            if c:
+                for i, bc in enumerate(b):
+                    r[k + i] = (r[k + i] - c * bc) % p
+        a, b = b, ptrim(r[: nb - 1])
     return pmonic(a, p)
 
 
@@ -231,22 +260,38 @@ def _common_prime(p: int, *values: FpRatFun) -> int:
     return p
 
 
-def _injection_terms(p: int, x: FpRatFun, y: FpRatFun) -> tuple[Coeffs, Coeffs]:
-    """x^p + t * y^p as an unreduced (num, den) pair of coefficient tuples.
+Pair = tuple[Coeffs, Coeffs]  # a raw (num, den): coefficients in 0..p-1, den nonzero
+
+
+def _packed_value(p: int, x: Pair, y: Pair, width: int) -> tuple[int, int]:
+    """x^p + t * y^p as an unreduced (num, den), packed width bytes per digit.
 
     With the Frobenius-moved tuples N(t) = n(t^p) and D(t) = d(t^p), the
-    value is (N_x D_y + t N_y D_x) / (D_x D_y).  The caller checks primes.
+    value is (N_x D_y + t N_y D_x) / (D_x D_y); the factor t is a one-digit
+    shift.
     """
-    nx, dx = pfrob(x.num, p), pfrob(x.den, p)
-    ny, dy = pfrob(y.num, p), pfrob(y.den, p)
-    n = padd(pmul(nx, dy, p), (0,) + pmul(ny, dx, p), p)
-    return n, pmul(dx, dy, p)
+    nx, dx = _pack_moved(x[0], p, width), _pack_moved(x[1], p, width)
+    ny, dy = _pack_moved(y[0], p, width), _pack_moved(y[1], p, width)
+    return nx * dy + (ny * dx << 8 * width), dx * dy
+
+
+def _pack_moved(cs, p: int, width: int) -> int:
+    """g(t^p) packed width bytes per digit, for g with coefficients cs."""
+    moved = [0] * ((len(cs) - 1) * p + 1)
+    moved[::p] = cs
+    return _pack(moved, width)
 
 
 def ff_eval_injection(p: int, x: FpRatFun, y: FpRatFun) -> FpRatFun:
     """x^p + t * y^p in canonical form, reduced once."""
     _common_prime(p, x, y)
-    return FpRatFun(p, *_injection_terms(p, x, y))
+    # N_x D_y is nonzero only at multiples of p, where a digit sums at most
+    # size products of two coefficients below p; t N_y D_x fills only digits
+    # that N_x D_y leaves empty, since p >= 2.
+    size = max(len(x.num), len(x.den), len(y.num), len(y.den))
+    width = _digit_width(size * (p - 1) ** 2)
+    n, d = _packed_value(p, (x.num, x.den), (y.num, y.den), width)
+    return FpRatFun(p, _reduce(n, width, p), _reduce(d, width, p))
 
 
 def is_pth_power(h: FpRatFun) -> bool:
@@ -274,10 +319,6 @@ class VerificationResult:
     cross: tuple[Coeffs, Coeffs, Coeffs, Coeffs] | None = None
 
     @property
-    def is_equal_inputs(self) -> bool:
-        return self.kind == "equal_inputs"
-
-    @property
     def delta(self) -> FpRatFun | None:
         if self.cross is None:
             return None
@@ -293,25 +334,52 @@ def verify_injection(
 ) -> VerificationResult:
     """Check injectivity of x^p + t*y^p on one pair of input points.
 
-    Either the canonical inputs are equal, or the values differ.  Both
-    values are built unreduced and compared literally by cross
-    multiplication, n1/d1 = n2/d2 iff n1*d2 = n2*d1, so no gcd runs here.
-    A vanishing difference on distinct inputs would exhibit t as a p-th
-    power; that branch is unreachable, and it builds the witness and raises.
+    Either the inputs are equal, or the values differ.  The check is the
+    hammer's own kernel, _decide_trial, so no gcd runs here; the cross
+    products it returns for distinct values are read out as reduced tuples.
     """
     x1, y1 = pair1
     x2, y2 = pair2
     _common_prime(p, x1, y1, x2, y2)
-    if x1 == x2 and y1 == y2:
+    cross = _decide_trial(
+        p, (x1.num, x1.den), (y1.num, y1.den), (x2.num, x2.den), (y2.num, y2.den)
+    )
+    if cross is None:
         return VerificationResult("equal_inputs", p)
-    n1, d1 = _injection_terms(p, x1, y1)
-    n2, d2 = _injection_terms(p, x2, y2)
-    c1, c2 = pmul(n1, d2, p), pmul(n2, d1, p)
+    width, *packed = cross
+    return VerificationResult("distinct_values", p, tuple(_reduce(n, width, p) for n in packed))
+
+
+def _decide_trial(p: int, x1: Pair, y1: Pair, x2: Pair, y2: Pair):
+    """One injection check on raw pairs: None for equal inputs, else the
+    packed (width, n1*d2, n2*d1, d1, d2) of the two distinct values.
+
+    The pairs need not be trimmed, in lowest terms or monic.  Both values
+    are built literally in F_p[t] and compared by cross multiplication,
+    n1/d1 = n2/d2 iff n1*d2 = n2*d1, digit by digit mod p.  Distinct values
+    imply distinct inputs.  Only equal values lead to comparing the inputs,
+    again by cross multiplication; unequal inputs there would exhibit t as a
+    p-th power, so that branch is unreachable, and it builds the witness and
+    raises.
+    """
+    size = max(map(len, (*x1, *y1, *x2, *y2)))
+    # A digit of n or d is at most size (p-1)^2 (see ff_eval_injection), and
+    # the digits of d sum to at most (size (p-1))^2, so a digit of n1*d2 is
+    # at most size^3 (p-1)^4.
+    width = _digit_width(size**3 * (p - 1) ** 4)
+    n1, d1 = _packed_value(p, x1, y1, width)
+    n2, d2 = _packed_value(p, x2, y2, width)
+    c1, c2 = n1 * d2, n2 * d1
     if c1 != c2:
-        return VerificationResult("distinct_values", p, (c1, c2, d1, d2))
+        count = -(-max(c1.bit_length(), c2.bit_length()) // (8 * width))
+        if any((a - b) % p for a, b in zip(_unpack(c1, width, count), _unpack(c2, width, count))):
+            return width, c1, c2, d1, d2
+    if all(pmul(a[0], b[1], p) == pmul(b[0], a[1], p) for a, b in ((x1, x2), (y1, y2))):
+        return None
     # Unreachable: equal values on distinct inputs give
     # (x1-x2)^p = t*(y2-y1)^p, so t = ((x1-x2)/(y2-y1))^p would be a p-th
     # power of the witness below.
+    x1, y1, x2, y2 = (FpRatFun(p, *v) for v in (x1, y1, x2, y2))
     dy = y2 - y1
     assert not dy.is_zero(), "x1^p = x2^p forces x1 = x2: inputs were equal after all"
     witness = (x1 - x2) / dy
@@ -333,6 +401,10 @@ def _random_coeffs(rng: random.Random, p: int, degree_bound: int) -> tuple[Coeff
 # Trials handed to each worker per round; bounds the drawn coefficients held.
 _BATCH = 4096
 
+# Most coefficients, degree_bound * p + 1, that a Frobenius-moved input
+# n(t^p) of the hammer may have: a trial's packed integers grow with it.
+MAX_MOVED_COEFFS = 1 << 12
+
 
 def ff_collision_search(
     p: int,
@@ -347,13 +419,22 @@ def ff_collision_search(
     Draws pairs of random rational functions with num/den degrees up to the
     bound and asserts that distinct inputs always produce distinct values.
     Every trial's coefficients come from one Random(seed), in trial order,
-    so the report does not depend on workers: they only build and verify.
-    A worker count below 1 is refused with ValueError.
+    so the report does not depend on workers: they only decide trials,
+    from the raw tuples, with no gcd and no FpRatFun.
+    A worker count below 1 is refused with ValueError, and so is any
+    (p, degree_bound) whose Frobenius-moved inputs would have more than
+    MAX_MOVED_COEFFS = 4096 coefficients (degree_bound * p + 1).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
+    moved = degree_bound * p + 1
+    if moved > MAX_MOVED_COEFFS:
+        raise ValueError(
+            f"Frobenius-moved inputs would have {moved} coefficients "
+            f"(degree bound {degree_bound} * p {p} + 1), over the cap of {MAX_MOVED_COEFFS}"
+        )
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -385,10 +466,5 @@ def ff_collision_search(
 
 
 def _count_equal_inputs(p: int, draws) -> int:
-    """Build and verify each drawn trial; return how many had equal inputs."""
-    count = 0
-    for coeffs in draws:
-        x1, y1, x2, y2 = (FpRatFun.from_coeffs(p, num, den) for num, den in coeffs)
-        if verify_injection(p, (x1, y1), (x2, y2)).is_equal_inputs:
-            count += 1
-    return count
+    """Decide each drawn trial from its raw tuples; return how many had equal inputs."""
+    return sum(_decide_trial(p, *pairs) is None for pairs in draws)

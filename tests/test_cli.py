@@ -140,6 +140,17 @@ def test_invalid_counts_exit_1_structured():
     assert json.loads(res2.stderr)["error"]["message"] == "1 is not prime"
 
 
+def test_ffield_large_prime_refused_structured():
+    # Frobenius-moved inputs of 3 * p + 1 coefficients are refused up front,
+    # not allocated (p = 2^31 - 1) or ground through (p = 65537).
+    for prime in ("2147483647", "65537"):
+        res = run(["ffield", "--p", prime, "--deg", "3", "--trials", "5", "--seed", "0"])
+        assert res.exit_code == 1
+        err = json.loads(res.stderr)["error"]
+        assert err["type"] == "ValueError"
+        assert f"would have {3 * int(prime) + 1} coefficients" in err["message"]
+
+
 def test_malformed_json_poly_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ definitely not json")

@@ -1,16 +1,21 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyinj
+from polyinj import ffield
 from polyinj.ffield import (
+    MAX_MOVED_COEFFS,
     FpRatFun,
+    _decide_trial,
     ff_collision_search,
     ff_eval_injection,
     is_pth_power,
     pfrob,
+    pgcd,
     pmul,
-    _pmul_school,
     verify_injection,
 )
 
@@ -37,13 +42,63 @@ def test_ratfun_canonicalization():
         rf(5, (1,), (0,))
 
 
+def _pmul_school(a, b, p):
+    """Schoolbook product of coefficient tuples mod p, trailing zeros trimmed."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def test_pmul_matches_schoolbook():
     rng = random.Random(31)
-    for p in (2, 3, 5, 7, 97):
+    for p, top in ((2, 40), (3, 40), (5, 40), (7, 40), (97, 40), (65537, 6), (2**31 - 1, 6)):
         for _ in range(60):
-            a = tuple(rng.randrange(p) for _ in range(rng.randint(0, 40)))
-            b = tuple(rng.randrange(p) for _ in range(rng.randint(0, 40)))
+            a = tuple(rng.randrange(p) for _ in range(rng.randint(0, top)))
+            b = tuple(rng.randrange(p) for _ in range(rng.randint(0, top)))
             assert pmul(a, b, p) == _pmul_school(a, b, p)
+
+
+def _gcd_school(a, b, p):
+    """Monic gcd by Euclid with long division written out, trailing zeros trimmed."""
+
+    def trim(cs):
+        cs = list(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    a, b = trim(c % p for c in a), trim(c % p for c in b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] * pow(b[-1], p - 2, p) % p
+            shift = len(r) - len(b)
+            for i, bc in enumerate(b):
+                r[shift + i] = (r[shift + i] - c * bc) % p
+            r = trim(r)
+        a, b = b, r
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return tuple(a)
+
+
+def test_pgcd_matches_schoolbook_euclid():
+    rng = random.Random(47)
+    for p in (2, 3, 5, 7, 97):
+        for _ in range(80):
+            g = [rng.randrange(p) for _ in range(rng.randint(0, 4))]
+            a = _pmul_school(g, [rng.randrange(p) for _ in range(rng.randint(0, 12))], p)
+            b = _pmul_school(g, [rng.randrange(p) for _ in range(rng.randint(0, 12))], p)
+            assert pgcd(a, b, p) == _gcd_school(a, b, p), (p, a, b)
+            assert pgcd(b, a, p) == _gcd_school(a, b, p), (p, a, b)
 
 
 def test_ff_eval_injection_examples():
@@ -259,3 +314,89 @@ def test_values_live_in_canonical_form():
 
             assert v.den[-1] == 1
             assert len(pgcd(v.num, v.den, p)) <= 1
+
+
+# (p, most coefficients per raw tuple): the kernel's digit width, the bytes
+# holding size^3 (p-1)^4, is 1 or 2 bytes for p = 2 and 3, 2 for 5, 2 or 4
+# for 7, 4 or 8 for 97, and 9 (past the array widths) for 65537.
+_KERNEL_PRIMES = [(2, 7), (3, 5), (5, 4), (7, 4), (97, 4), (65537, 1)]
+
+
+def _raw_pair(draw, p, top, base):
+    """base as a raw (num, den): times a random common factor, then padded
+    with trailing zeros, at most top coefficients each."""
+    num, den = base
+    k = draw(st.integers(0, top - max(len(num), len(den))))
+    g = draw(st.lists(st.integers(0, p - 1), min_size=k + 1, max_size=k + 1).filter(lambda g: g[-1]))
+    pad = lambda cs: tuple(cs) + (0,) * draw(st.integers(0, top - len(cs)))
+    return pad(_pmul_school(num, g, p)), pad(_pmul_school(den, g, p))
+
+
+@st.composite
+def _raw_trials(draw):
+    p, top = draw(st.sampled_from(_KERNEL_PRIMES))
+    coeffs = st.integers(0, p - 1)
+
+    def base():
+        num = draw(st.lists(coeffs, max_size=top))
+        den = draw(st.lists(coeffs, min_size=1, max_size=top).filter(any))
+        return num, den
+
+    bx, by = base(), base()
+    x1, y1 = _raw_pair(draw, p, top, bx), _raw_pair(draw, p, top, by)
+    x2 = _raw_pair(draw, p, top, bx if draw(st.booleans()) else base())
+    y2 = _raw_pair(draw, p, top, by if draw(st.booleans()) else base())
+    return p, x1, y1, x2, y2
+
+
+@settings(max_examples=300)
+@given(_raw_trials())
+def test_kernel_decision_matches_canonical_forms(trial):
+    # Raw tuples with trailing zeros, zero numerators, common factors and
+    # non-monic denominators: the kernel calls the inputs equal exactly when
+    # their canonical FpRatFun forms are, and finds distinct values otherwise.
+    p, *pairs = trial
+    x1, y1, x2, y2 = (FpRatFun(p, *pair) for pair in pairs)
+    assert (_decide_trial(p, *pairs) is None) == (x1 == x2 and y1 == y2)
+
+
+def test_kernel_digits_do_not_carry_on_extremal_inputs():
+    # Coefficients p - 1 make the packed digits as large as they get.  The
+    # inputs (m^2/m, m/m) and (m/1, m/m) are equal, but their cross products
+    # differ over the integers and agree mod p only digit by digit, so a
+    # carry between digits would show as distinct values.
+    for p, top in ((2, 16), (3, 16), (5, 12), (7, 8), (97, 4)):
+        for size in range(1, top + 1):
+            m = (p - 1,) * size
+            y = (m, m)
+            assert _decide_trial(p, (_pmul_school(m, m, p), m), y, (m, (1,)), y) is None, (p, size)
+            x = rf(p, m, (p - 1,) * (size - 1) + (1,))
+            assert ff_eval_injection(p, x, x) == x.frobenius() + FpRatFun.t(p) * x.frobenius()
+
+
+def test_hammer_runs_no_gcd_and_builds_no_ratfun(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hammer trial reached gcd or canonicalization")
+
+    monkeypatch.setattr(ffield, "pgcd", refuse)
+    monkeypatch.setattr(FpRatFun, "__post_init__", refuse)
+    assert ff_collision_search(3, 3, 300, 1) == {
+        "p": 3, "degree_bound": 3, "trials": 300, "seed": 1,
+        "equal_inputs": 0, "distinct_values": 300, "collisions": 0,
+    }
+
+
+def test_search_refuses_oversized_frobenius_moves():
+    assert MAX_MOVED_COEFFS == 4096
+    for p, d in ((2147483647, 3), (65537, 3), (4099, 1), (2, 2048)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"would have {d * p + 1} coefficients"):
+                ff_collision_search(p, d, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, (p, d, peak)
+    # At the cap, and any degree-0 search, still run.
+    assert ff_collision_search(2, 2047, 1, seed=0)["collisions"] == 0
+    assert ff_collision_search(2147483647, 0, 20, seed=0)["collisions"] == 0
