@@ -134,13 +134,12 @@ def main():
 @click.option("--height", type=int, required=True, help="scan box bound H")
 @click.option("--out", "out_path", default=None, help="output JSON path (default stdout)")
 @click.option("--manifest", "manifest_path", default=None)
-@click.option("--shards", type=int, default=None)
-def surface(form_text, height, out_path, manifest_path, shards):
+def surface(form_text, height, out_path, manifest_path):
     """Scan F(x,y)=F(z,w) for rational points of bounded height."""
     t0 = time.perf_counter()
     try:
         form, source = _load_form(form_text)
-        result = scan_surface(form, height, shards=shards)
+        result = scan_surface(form, height)
         outputs = _emit(_dumps(result.to_json_dict()), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)
@@ -242,17 +241,16 @@ def local(poly_text, real_mode, padic_prime, prec, at_text, tol, delta_text, out
 @click.option("--deg", type=int, required=True)
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=1)
 @click.option("--out", "out_path", default=None)
 @click.option("--manifest", "manifest_path", default=None)
-def ffield(prime, deg, trials, seed, threads, out_path, manifest_path):
+def ffield(prime, deg, trials, seed, out_path, manifest_path):
     """Hammer the unconditional injection x^p + t*y^p over F_p(t)."""
     t0 = time.perf_counter()
     if seed is None:
         seed = secrets.randbits(63)
         sys.stderr.write(f"seed: {seed}\n")
     try:
-        report = ff_collision_search(prime, deg, trials, seed, workers=threads)
+        report = ff_collision_search(prime, deg, trials, seed)
         outputs = _emit(_dumps(report), out_path)
     except _DOMAIN_ERRORS as exc:
         _fail_domain(exc)

@@ -11,9 +11,10 @@ randomized search that hammers on the injection.
 Polynomial coefficient vectors are tuples, low degree first, trailing zeros
 trimmed; the zero polynomial is ().  A value of F_p(t) is FpRatFun(p, num,
 den) over two such tuples, and FpRatFun.__post_init__ is the one place that
-reduces mod p and puts num/den in canonical form.  Products use Kronecker
-substitution: one helper packs coefficient tuples into integers, at a digit
-width proven wide enough that no digit carries, and reads digits back.
+refuses a modulus that is not prime, reduces mod p and puts num/den in
+canonical form.  Products use Kronecker substitution: one helper packs
+coefficient tuples into integers, at a digit width proven wide enough that
+no digit carries, and reads digits back.
 
 One helper builds x^p + t*y^p, unreduced and packed, straight from the
 Frobenius-moved tuples: ff_eval_injection reduces it once.  One kernel,
@@ -21,7 +22,8 @@ _decide_trial, decides an injection check on raw (num, den) tuples, with no
 gcd and no FpRatFun: the two values are compared by cross multiplication
 (a/b = c/d iff a*d = b*c in a field of fractions) as packed integers, and the
 inputs are compared the same way only when the values are equal.
-verify_injection and the randomized search both call it.  Values over
+verify_injection and the randomized search both call it; the search draws
+and decides its trials one after another in one process.  Values over
 different primes are refused with ValueError.
 """
 
@@ -31,7 +33,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import lru_cache
 
 from .rationals import is_prime
 
@@ -164,11 +166,24 @@ def pfrob(a: Coeffs, p: int) -> Coeffs:
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _check_prime(p: int) -> None:
+    """Refuse a modulus p that is not prime with ValueError.
+
+    F_p(t) needs a field of constants, and the Frobenius shortcut
+    g(t)^p = g(t^p) holds only in prime characteristic.  Passing verdicts
+    are cached, so each prime is tested once.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class FpRatFun:
     """Rational function num/den over F_p, gcd-reduced with monic denominator.
 
-    num and den are coefficient tuples in the form described above.
+    p must be prime (ValueError otherwise); num and den are coefficient
+    tuples in the form described above.
     """
 
     p: int
@@ -177,6 +192,7 @@ class FpRatFun:
 
     def __post_init__(self):
         p = self.p
+        _check_prime(p)
         n = ptrim(c % p for c in self.num)
         d = ptrim(c % p for c in self.den)
         if not d:
@@ -308,23 +324,12 @@ def is_pth_power(h: FpRatFun) -> bool:
 class VerificationResult:
     """Outcome of one injection check: equal inputs, or distinct values.
 
-    For distinct values, cross holds the unreduced values' cross products
-    n1*d2 and n2*d1 and their denominators d1 and d2.  delta, the canonical
-    value1 - value2, is built from them only when read; it is None for
-    equal inputs.
+    delta is the canonical value1 - value2, nonzero for distinct values and
+    None for equal inputs.
     """
 
     kind: str  # "equal_inputs" | "distinct_values"
-    p: int
-    cross: tuple[Coeffs, Coeffs, Coeffs, Coeffs] | None = None
-
-    @property
-    def delta(self) -> FpRatFun | None:
-        if self.cross is None:
-            return None
-        p = self.p
-        c1, c2, d1, d2 = self.cross
-        return FpRatFun(p, psub(c1, c2, p), pmul(d1, d2, p))
+    delta: FpRatFun | None = None
 
 
 def verify_injection(
@@ -334,25 +339,22 @@ def verify_injection(
 ) -> VerificationResult:
     """Check injectivity of x^p + t*y^p on one pair of input points.
 
-    Either the inputs are equal, or the values differ.  The check is the
-    hammer's own kernel, _decide_trial, so no gcd runs here; the cross
-    products it returns for distinct values are read out as reduced tuples.
+    Either the inputs are equal, or the values differ.  The decision is the
+    hammer's own kernel, _decide_trial; for distinct values the difference
+    of the two values is then built in canonical form.
     """
     x1, y1 = pair1
     x2, y2 = pair2
     _common_prime(p, x1, y1, x2, y2)
-    cross = _decide_trial(
-        p, (x1.num, x1.den), (y1.num, y1.den), (x2.num, x2.den), (y2.num, y2.den)
-    )
-    if cross is None:
-        return VerificationResult("equal_inputs", p)
-    width, *packed = cross
-    return VerificationResult("distinct_values", p, tuple(_reduce(n, width, p) for n in packed))
+    if _decide_trial(p, (x1.num, x1.den), (y1.num, y1.den), (x2.num, x2.den), (y2.num, y2.den)):
+        return VerificationResult("equal_inputs")
+    delta = ff_eval_injection(p, x1, y1) - ff_eval_injection(p, x2, y2)
+    return VerificationResult("distinct_values", delta)
 
 
-def _decide_trial(p: int, x1: Pair, y1: Pair, x2: Pair, y2: Pair):
-    """One injection check on raw pairs: None for equal inputs, else the
-    packed (width, n1*d2, n2*d1, d1, d2) of the two distinct values.
+def _decide_trial(p: int, x1: Pair, y1: Pair, x2: Pair, y2: Pair) -> bool:
+    """One injection check on raw pairs: True for equal inputs, False for
+    distinct values.
 
     The pairs need not be trimmed, in lowest terms or monic.  Both values
     are built literally in F_p[t] and compared by cross multiplication,
@@ -373,9 +375,9 @@ def _decide_trial(p: int, x1: Pair, y1: Pair, x2: Pair, y2: Pair):
     if c1 != c2:
         count = -(-max(c1.bit_length(), c2.bit_length()) // (8 * width))
         if any((a - b) % p for a, b in zip(_unpack(c1, width, count), _unpack(c2, width, count))):
-            return width, c1, c2, d1, d2
+            return False
     if all(pmul(a[0], b[1], p) == pmul(b[0], a[1], p) for a, b in ((x1, x2), (y1, y2))):
-        return None
+        return True
     # Unreachable: equal values on distinct inputs give
     # (x1-x2)^p = t*(y2-y1)^p, so t = ((x1-x2)/(y2-y1))^p would be a p-th
     # power of the witness below.
@@ -398,9 +400,6 @@ def _random_coeffs(rng: random.Random, p: int, degree_bound: int) -> tuple[Coeff
             return num, den
 
 
-# Trials handed to each worker per round; bounds the drawn coefficients held.
-_BATCH = 4096
-
 # Most coefficients, degree_bound * p + 1, that a Frobenius-moved input
 # n(t^p) of the hammer may have: a trial's packed integers grow with it.
 MAX_MOVED_COEFFS = 1 << 12
@@ -419,14 +418,13 @@ def ff_collision_search(
     Draws pairs of random rational functions with num/den degrees up to the
     bound and asserts that distinct inputs always produce distinct values.
     Every trial's coefficients come from one Random(seed), in trial order,
-    so the report does not depend on workers: they only decide trials,
-    from the raw tuples, with no gcd and no FpRatFun.
-    A worker count below 1 is refused with ValueError, and so is any
-    (p, degree_bound) whose Frobenius-moved inputs would have more than
+    and each trial is decided as it is drawn, from the raw tuples, with no
+    gcd and no FpRatFun.  The search runs in one process: any ``workers``
+    but 1 is refused with ValueError, and so are a p that is not prime and
+    any (p, degree_bound) whose Frobenius-moved inputs would have more than
     MAX_MOVED_COEFFS = 4096 coefficients (degree_bound * p + 1).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     moved = degree_bound * p + 1
@@ -437,23 +435,14 @@ def ff_collision_search(
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    if workers != 1:
+        raise ValueError(f"worker count must be 1: the F_p(t) hammer runs in one process, "
+                         f"got {workers}")
     rng = random.Random(seed)
-    draws = (
-        tuple(_random_coeffs(rng, p, degree_bound) for _ in range(4)) for _ in range(trials)
+    equal_inputs = sum(
+        _decide_trial(p, *[_random_coeffs(rng, p, degree_bound) for _ in range(4)])
+        for _ in range(trials)
     )
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        equal_inputs = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            while batch := list(islice(draws, workers * _BATCH)):
-                size = -(-len(batch) // workers)
-                chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
-                equal_inputs += sum(pool.map(_count_equal_inputs, repeat(p), chunks))
-    else:
-        equal_inputs = _count_equal_inputs(p, draws)
     return {
         "p": p,
         "degree_bound": degree_bound,
@@ -463,8 +452,3 @@ def ff_collision_search(
         "distinct_values": trials - equal_inputs,
         "collisions": 0,
     }
-
-
-def _count_equal_inputs(p: int, draws) -> int:
-    """Decide each drawn trial from its raw tuples; return how many had equal inputs."""
-    return sum(_decide_trial(p, *pairs) is None for pairs in draws)

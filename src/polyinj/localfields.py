@@ -82,6 +82,11 @@ def _univariate_in_y(f: MultiPoly, x_value: Fraction) -> tuple[Fraction, ...]:
     return utrim(coeffs)
 
 
+def _minus_constant(cs, c: Fraction) -> tuple[Fraction, ...]:
+    """Coefficients of the polynomial cs minus the constant c, trimmed."""
+    return utrim([(cs[0] if cs else 0) - c, *cs[1:]])
+
+
 def _horner(cs, v: float) -> float:
     """Float value at v of the polynomial with coefficients cs, low degree first."""
     acc = 0.0
@@ -132,7 +137,7 @@ def real_collision(
 
     c = f.eval_xy(x0, y0)
     # g(y) = f(x1, y) - c, as float coefficients for the numeric stage.
-    g_exact = utrim((g_exact[0] - c,) + g_exact[1:]) if g_exact else utrim([-c])
+    g_exact = _minus_constant(g_exact, c)
     g = [float(cf) for cf in g_exact]
     dg = [float(cf) for cf in uderiv(g_exact)]
 
@@ -249,7 +254,7 @@ def padic_collision(
     c_val = f.eval_xy(Fraction(x0), Fraction(y0))
     x1 = x0 + delta
     h_exact = _univariate_in_y(f, Fraction(x1))
-    h_exact = utrim((h_exact[0] - c_val,) + h_exact[1:]) if h_exact else utrim([-c_val])
+    h_exact = _minus_constant(h_exact, c_val)
     if udeg(h_exact) < 1:
         raise HenselInapplicableError("f(x1, y) - c does not depend on y (df/dy = 0)")
     h_mod = [cf.numerator * pow(cf.denominator, -1, pk) % pk for cf in h_exact]

@@ -114,21 +114,20 @@ def scan_surface(
     form: BinaryForm,
     height: int,
     *,
-    shards: int | None = None,
     workers: int = 1,
     primes: tuple[int, ...] = FINGERPRINT_PRIMES,
 ) -> PointSet:
     """All canonical points of F(x,y)=F(z,w) with coordinates in [-H, H].
 
     Complete within the box: a canonical point's own coordinate pairs lie in
-    the box, so the collision join over all pairs recovers it.  ``shards``,
-    ``workers`` and ``primes`` are passed to ``find_collisions`` unchanged;
-    the join runs in one process, so ``workers`` must be 1.
+    the box, so the collision join over all pairs recovers it.  ``workers``
+    and ``primes`` are passed to ``find_collisions`` unchanged; the join
+    runs in one process, so ``workers`` must be 1.  The scan writes no
+    checkpoint, so it leaves the join's shard count at its default.
     """
     report = find_collisions(
         form.to_multipoly(),
         SearchSpace("integers", height),
-        shards=shards,
         workers=workers,
         primes=primes,
     )

@@ -111,24 +111,20 @@ def test_domain_error_exit_1_structured():
 
 
 def test_invalid_counts_exit_1_structured():
-    res = run(["surface", "--form", "x^3+y^3", "--height", "12", "--shards", "-1"])
-    assert res.exit_code == 1
-    err = json.loads(res.stderr)["error"]
-    assert err["type"] == "ValueError" and "shard count" in err["message"]
     res = run(["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "5",
                "--shards", "0"])
     assert res.exit_code == 1
-    assert "shard count" in json.loads(res.stderr)["error"]["message"]
-    res = run(["ffield", "--p", "3", "--deg", "2", "--trials", "5", "--seed", "0",
-               "--threads", "0"])
-    assert res.exit_code == 1
     err = json.loads(res.stderr)["error"]
-    assert err["type"] == "ValueError" and "worker count" in err["message"]
-    # The collision join runs in one process: its commands have no --threads.
+    assert err["type"] == "ValueError" and "shard count" in err["message"]
+    # Everything runs in one process: no command has --threads, and the
+    # surface scan, which writes no checkpoint, has no --shards.
     for args in (["surface", "--form", "x^3+y^3", "--height", "5"],
                  ["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "5"],
-                 ["build", "--form", "x^3+y^3", "--height", "5", "--seed", "1"]):
+                 ["build", "--form", "x^3+y^3", "--height", "5", "--seed", "1"],
+                 ["local", "--poly", "x^3+y^3", "--real", "--at", "1,1"],
+                 ["ffield", "--p", "3", "--deg", "2", "--trials", "5", "--seed", "0"]):
         assert run([*args, "--threads", "2"]).exit_code == 2, args
+    assert run(["surface", "--form", "x^3+y^3", "--height", "5", "--shards", "2"]).exit_code == 2
     res = run(["build", "--form", "x^3+y^3", "--height", "4", "--seed", "1",
                "--max-twists", "-3"])
     assert res.exit_code == 1
@@ -195,7 +191,7 @@ def test_collide_out_bytes_pinned(tmp_path, poly, mode, height, digest):
 
 
 @pytest.mark.parametrize("args, digest", [
-    (["ffield", "--p", "3", "--deg", "2", "--trials", "500", "--seed", "1", "--threads", "1"],
+    (["ffield", "--p", "3", "--deg", "2", "--trials", "500", "--seed", "1"],
      "c21d40a3c42e7969209c7065aaff20cb5b26d1de32d4bcc18260650c5627088d"),
     (["local", "--poly", "x^7+3*y^7", "--real", "--at", "1,1", "--tol", "1e-12"],
      "1bfe2d098ceabb37c39c79558c15fd90fb9f0a03e979907f1b427e1ea0b56781"),

@@ -270,25 +270,25 @@ def test_search_deterministic():
     assert ff_collision_search(3, 2, 200, seed=5) == ff_collision_search(3, 2, 200, seed=5)
 
 
-def test_search_report_independent_of_workers():
-    # equal_inputs pinned from the single-worker draw order of earlier
-    # releases, so the trials themselves are unchanged.
-    reports = [ff_collision_search(2, 0, 300, seed=2, workers=n) for n in (1, 2, 3)]
-    assert reports[0]["equal_inputs"] == 80
-    assert reports[1] == reports[0] == reports[2]
-
-
 def test_search_validation():
     with pytest.raises(ValueError):
         ff_collision_search(5, -1, 10, seed=0)
     with pytest.raises(ValueError):
         ff_collision_search(5, 2, 0, seed=0)
-    for workers in (0, -1):
+    for workers in (0, -1, 2):
         with pytest.raises(ValueError, match="worker count"):
             ff_collision_search(5, 2, 10, seed=0, workers=workers)
     for p in (1, 4, 0):
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             ff_collision_search(p, 2, 5, seed=0)
+
+
+def test_ratfun_refuses_modulus_that_is_not_prime():
+    # Over Z/4 the Frobenius shortcut fails: 2^4 = 0, so (2, 0) and (0, 0)
+    # are two inputs with one value; such a modulus is refused up front.
+    for p in (0, 1, 4, 6, -3):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            FpRatFun(p, (1,), (1,))
 
 
 def test_text_format_round_trip():
@@ -357,7 +357,7 @@ def test_kernel_decision_matches_canonical_forms(trial):
     # their canonical FpRatFun forms are, and finds distinct values otherwise.
     p, *pairs = trial
     x1, y1, x2, y2 = (FpRatFun(p, *pair) for pair in pairs)
-    assert (_decide_trial(p, *pairs) is None) == (x1 == x2 and y1 == y2)
+    assert (_decide_trial(p, *pairs) is True) == (x1 == x2 and y1 == y2)
 
 
 def test_kernel_digits_do_not_carry_on_extremal_inputs():
@@ -369,7 +369,7 @@ def test_kernel_digits_do_not_carry_on_extremal_inputs():
         for size in range(1, top + 1):
             m = (p - 1,) * size
             y = (m, m)
-            assert _decide_trial(p, (_pmul_school(m, m, p), m), y, (m, (1,)), y) is None, (p, size)
+            assert _decide_trial(p, (_pmul_school(m, m, p), m), y, (m, (1,)), y) is True, (p, size)
             x = rf(p, m, (p - 1,) * (size - 1) + (1,))
             assert ff_eval_injection(p, x, x) == x.frobenius() + FpRatFun.t(p) * x.frobenius()
 
