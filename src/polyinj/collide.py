@@ -26,14 +26,16 @@ sort_keys=True)`` layout, one row (an input and its later class-mates) at
 a time from one template, so its memory does not grow with the number of
 pairs; ``to_json_text`` collects that stream in a string.
 ``to_json_dict`` builds the same document as nested lists, for the
-construction trace and as the writer's test oracle.  A checkpoint is
-encoded by one ``json.dumps`` call, which runs CPython's C encoder, and one
-write; it still holds every completed shard's (fingerprint, index) list and
-is rewritten whole after each shard, so its total cost grows with the
+construction trace and as the writer's test oracle.  A checkpoint holds
+every completed shard's (fingerprint, index) list; each shard is encoded
+once, by one ``json.dumps`` call that runs CPython's C encoder, so the
+encoding cost grows linearly with the shard count.  The file is still
+rewritten whole after each shard, so the bytes written grow with the
 square of the shard count.
 
 ``naive_collisions`` is the independent oracle: it groups inputs directly
-by their exact values, with no fingerprint machinery involved.
+by their exact values, summed term by term without the engine's
+evaluator, with no fingerprint machinery involved.
 """
 
 from __future__ import annotations
@@ -236,19 +238,30 @@ def _checkpoint_header(poly, space, shards, primes) -> dict:
     }
 
 
-def _write_checkpoint(path: str, header: dict, completed: dict) -> None:
+def _write_checkpoint(path: str, header: dict, completed: dict,
+                      encoded: dict | None = None) -> None:
     """Write the header and every completed shard, replacing the file atomically.
 
-    One ``json.dumps`` call runs CPython's C encoder, which ``json.dump`` to
-    a file never does; tuples encode as arrays and the int shard ids as
-    string keys, so the bytes are those of the version-1 format.
+    Each shard is encoded as its ``"<sid>": [...]`` member of ``completed``
+    by one ``json.dumps`` call, which runs CPython's C encoder, and the
+    members are written in the dict's own order with the separators
+    ``json.dumps`` uses, so the bytes are those of one ``json.dumps`` of the
+    header plus ``"completed"``: the version-1 format.  ``encoded`` keeps
+    each member's text by shard id across calls, so a shard is encoded
+    once however often the file is rewritten.
     """
-    doc = dict(header)
-    doc["completed"] = completed
-    text = json.dumps(doc)
+    if encoded is None:
+        encoded = {}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(json.dumps(header)[:-1] + ', "completed": {')
+        for i, (sid, items) in enumerate(completed.items()):
+            text = encoded.get(sid)
+            if text is None:
+                text = encoded[sid] = f'"{sid}": ' + json.dumps(items)
+            fh.write(", " if i else "")
+            fh.write(text)
+        fh.write("}}")
     os.replace(tmp, path)
 
 
@@ -461,13 +474,15 @@ def find_collisions(
         completed = _load_checkpoint(checkpoint_path, header, ranges)
 
     pending = [s for s in range(shards) if s not in completed]
+    encoded: dict[int, str] = {}
     for done_this_run, s in enumerate(pending, 1):
         completed[s] = _phase1_shard(rows, axis, *ranges[s], primes)
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, header, completed)
+            _write_checkpoint(checkpoint_path, header, completed, encoded)
         stopped = stop_after_shards is not None and done_this_run >= stop_after_shards
         if stopped and len(completed) < shards:
             raise SearchInterrupted(checkpoint_path or "<no checkpoint>")
+    del encoded  # as large as the checkpoint, and the merge below does not read it
 
     # Keep only fingerprints shared by two or more inputs.  Each bucket
     # lists its indices in ascending order (shards merge in id order).
@@ -517,13 +532,16 @@ def naive_collisions(poly: MultiPoly, space: SearchSpace) -> CollisionReport:
     find_collisions so the two can be compared directly.
     """
     t0 = time.perf_counter()
-    rows = compile_xy_terms(poly)
+    # Its own term-by-term sum, not the engine's make_evaluator, so a fault
+    # there cannot pass on both sides.  Integer coefficients stay int, so
+    # integer inputs give int values and rational inputs Fraction values.
+    terms = [(ex, ey, c.numerator if c.denominator == 1 else c) for ex, ey, c in poly.xy_terms()]
     axis = input_axis(space)
     n = len(axis)
-    ev = make_evaluator(rows)
     by_value: dict = {}
     for idx in range(n * n):
-        v = ev(axis[idx // n], axis[idx % n])
+        xv, yv = axis[idx // n], axis[idx % n]
+        v = sum(c * xv**ex * yv**ey for ex, ey, c in terms)
         by_value.setdefault(v, []).append(idx)
     # Values enter the dict in order of their least input.
     classes = [(tuple(m), v) for v, m in by_value.items() if len(m) > 1]

@@ -25,6 +25,12 @@ inputs are compared the same way only when the values are equal.
 verify_injection and the randomized search both call it; the search draws
 and decides its trials one after another in one process.  Values over
 different primes are refused with ValueError.
+
+The search's coefficients are the values that successive
+Random(seed).randrange(p) calls return, but _RandrangeReader reads them in
+bulk from the Mersenne Twister's 32-bit word stream, so its reports rest on
+two CPython details: getrandbits' word layout and _randbelow's rejection
+rule.  The tests compare the reader with randrange itself.
 """
 
 from __future__ import annotations
@@ -68,7 +74,10 @@ def psub(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
 
 
 # array type codes by item size; the packed form is in the platform's byte order.
+# _RandrangeReader reads the Mersenne Twister's 32-bit words as array("I").
 _ARRAY_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+if any(array(code).itemsize != size for size, code in _ARRAY_CODES.items()):
+    raise ImportError("polyinj.ffield needs array items 'B', 'H', 'I', 'Q' of 1, 2, 4, 8 bytes")
 
 
 def _digit_width(top: int) -> int:
@@ -391,13 +400,66 @@ def _decide_trial(p: int, x1: Pair, y1: Pair, x2: Pair, y2: Pair) -> bool:
     )
 
 
-def _random_coeffs(rng: random.Random, p: int, degree_bound: int) -> tuple[Coeffs, Coeffs]:
-    """num and den coefficients of one random rational function; den is nonzero."""
-    num = tuple(rng.randrange(p) for _ in range(degree_bound + 1))
-    while True:
-        den = tuple(rng.randrange(p) for _ in range(degree_bound + 1))
-        if any(den):
-            return num, den
+# Words read from the Mersenne Twister per refill of a _RandrangeReader; a
+# reader holds at most one refill of values beyond what it has handed out.
+_CHUNK_WORDS = 4096
+
+
+class _RandrangeReader:
+    """The values that successive rng.randrange(p) calls would return, in
+    their order, read in bulk from rng's own 32-bit word stream.
+
+    On CPython, randrange(p) is _randbelow(p): with k = p.bit_length(), it
+    calls getrandbits(k) until the result is below p, and for k <= 32 each
+    call keeps the top k bits of the next 32-bit word.  getrandbits(32 m)
+    returns the next m words with the first in the lowest 32 bits, on
+    either byte order.  So for p < 2**32 the reader reads _CHUNK_WORDS
+    words at a time and keeps w >> (32 - k) wherever it is below p.  It
+    reads ahead, so nothing else may draw from rng while it is in use.  For
+    p >= 2**32, getrandbits(k) spans several words, and the reader calls
+    rng.randrange(p) once per value instead.
+    """
+
+    def __init__(self, rng: random.Random, p: int):
+        self._rng = rng
+        self._p = p
+        self._buf: Coeffs = ()
+        self._pos = 0
+
+    def take(self, n: int) -> Coeffs:
+        """The next n values, as a tuple."""
+        pos, buf = self._pos, self._buf
+        end = pos + n
+        if end > len(buf):
+            buf = self._buf = buf[pos:] + self._more(end - len(buf))
+            pos, end = 0, n
+        self._pos = end
+        return buf[pos:end]
+
+    def _more(self, need: int) -> Coeffs:
+        """At least need further values."""
+        rng, p = self._rng, self._p
+        shift = 32 - p.bit_length()
+        if shift < 0:
+            return tuple(rng.randrange(p) for _ in range(need))
+        limit = p << shift  # w >> shift < p exactly when w < limit
+        out: list[int] = []
+        while len(out) < need:
+            raw = rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little")
+            words = array("I", raw)
+            if sys.byteorder == "big":
+                words.byteswap()
+            out += [w >> shift for w in words if w < limit]
+        return tuple(out)
+
+
+def _random_pair(draws: _RandrangeReader, n: int) -> Pair:
+    """num and den of one random rational function, n coefficients each;
+    den is redrawn, in stream order, until it is nonzero."""
+    num, den = draws.take(n), draws.take(n)
+    while not any(den):
+        den = draws.take(n)
+    return num, den
 
 
 # Most coefficients, degree_bound * p + 1, that a Frobenius-moved input
@@ -417,12 +479,14 @@ def ff_collision_search(
 
     Draws pairs of random rational functions with num/den degrees up to the
     bound and asserts that distinct inputs always produce distinct values.
-    Every trial's coefficients come from one Random(seed), in trial order,
-    and each trial is decided as it is drawn, from the raw tuples, with no
-    gcd and no FpRatFun.  The search runs in one process: any ``workers``
-    but 1 is refused with ValueError, and so are a p that is not prime and
-    any (p, degree_bound) whose Frobenius-moved inputs would have more than
-    MAX_MOVED_COEFFS = 4096 coefficients (degree_bound * p + 1).
+    Every trial's coefficients are the values of successive
+    Random(seed).randrange(p) calls, in trial order, read in bulk by a
+    _RandrangeReader; each trial is decided as it is drawn, from the raw
+    tuples, with no gcd and no FpRatFun.  The search runs in one process:
+    any ``workers`` but 1 is refused with ValueError, and so are a p that
+    is not prime and any (p, degree_bound) whose Frobenius-moved inputs
+    would have more than MAX_MOVED_COEFFS = 4096 coefficients
+    (degree_bound * p + 1).
     """
     _check_prime(p)
     if degree_bound < 0:
@@ -438,10 +502,10 @@ def ff_collision_search(
     if workers != 1:
         raise ValueError(f"worker count must be 1: the F_p(t) hammer runs in one process, "
                          f"got {workers}")
-    rng = random.Random(seed)
+    draws = _RandrangeReader(random.Random(seed), p)
+    n = degree_bound + 1
     equal_inputs = sum(
-        _decide_trial(p, *[_random_coeffs(rng, p, degree_bound) for _ in range(4)])
-        for _ in range(trials)
+        _decide_trial(p, *[_random_pair(draws, n) for _ in range(4)]) for _ in range(trials)
     )
     return {
         "p": p,

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import allpairs_collision_pairs, random_multipoly
+from polyinj import collide
 from polyinj.collide import (
     SearchInterrupted,
     SearchSpace,
@@ -84,6 +85,19 @@ def test_naive_examples():
     # f = x ignores y: (0,-1) and (0,0) share the value 0.
     rep2 = naive_collisions(parse_poly("x"), SearchSpace("integers", 1))
     assert (((0, -1), (0, 0), 0)) in rep2.collisions
+
+
+def test_naive_oracle_evaluates_without_the_engine(monkeypatch):
+    # A fault in the engine's evaluator must not reach the oracle; values
+    # stay int on the integer box and Fraction on the rational one.
+    cases = [(parse_poly("x^3+y^3"), SearchSpace("integers", 6), int),
+             (parse_poly("(1/5)*x^2+(1/7)*y+(1/3)*x*y"), SearchSpace("rationals", 4), Fraction)]
+    expected = [naive_collisions(poly, space).classes for poly, space, _ in cases]
+    monkeypatch.setattr(collide, "make_evaluator", lambda rows: lambda xv, yv: 0)
+    for (poly, space, kind), classes in zip(cases, expected):
+        assert classes and {type(v) for _, v in classes} == {kind}
+        assert naive_collisions(poly, space).classes == classes
+        assert find_collisions(poly, space).classes != classes
 
 
 def test_engine_matches_naive_and_allpairs_small():

@@ -10,6 +10,7 @@ from polyinj.ffield import (
     MAX_MOVED_COEFFS,
     FpRatFun,
     _decide_trial,
+    _RandrangeReader,
     ff_collision_search,
     ff_eval_injection,
     is_pth_power,
@@ -400,3 +401,50 @@ def test_search_refuses_oversized_frobenius_moves():
     # At the cap, and any degree-0 search, still run.
     assert ff_collision_search(2, 2047, 1, seed=0)["collisions"] == 0
     assert ff_collision_search(2147483647, 0, 20, seed=0)["collisions"] == 0
+
+
+# Below 2**32 the reader slices rng's word stream (p = 2**31 - 1 keeps the
+# top 31 bits of each word); 4294967311 is the least prime above 2**32,
+# where it calls randrange.
+_STREAM_PRIMES = [2, 3, 5, 7, 97, 251, 4093, 65521, 2**31 - 1, 4294967311]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_STREAM_PRIMES), st.integers(0, 2**64),
+       st.lists(st.one_of(st.integers(0, 9), st.integers(0, 3000)), max_size=6))
+def test_reader_returns_successive_randrange_values(p, seed, sizes):
+    draws, rng = _RandrangeReader(random.Random(seed), p), random.Random(seed)
+    for n in sizes:
+        assert draws.take(n) == tuple(rng.randrange(p) for _ in range(n))
+
+
+def _per_coefficient_trials(p, degree_bound, trials, seed):
+    """The hammer's trials as its earlier draw made them, one
+    rng.randrange(p) per coefficient with a zero den redrawn in place, and
+    the number of redraws."""
+    rng = random.Random(seed)
+    redraws = 0
+
+    def coeffs():
+        nonlocal redraws
+        num = tuple(rng.randrange(p) for _ in range(degree_bound + 1))
+        while True:
+            den = tuple(rng.randrange(p) for _ in range(degree_bound + 1))
+            if any(den):
+                return num, den
+            redraws += 1
+
+    return [tuple(coeffs() for _ in range(4)) for _ in range(trials)], redraws
+
+
+@pytest.mark.parametrize("p, degree_bound", [
+    (2, 0), (2, 1), (3, 0), (3, 1), (2, 3), (5, 3), (251, 2), (4294967311, 0),
+])
+def test_search_draws_the_per_coefficient_trials(monkeypatch, p, degree_bound):
+    seen = []
+    monkeypatch.setattr(ffield, "_decide_trial", lambda p, *pairs: seen.append(pairs) or False)
+    ff_collision_search(p, degree_bound, 1200, seed=11)
+    expected, redraws = _per_coefficient_trials(p, degree_bound, 1200, seed=11)
+    assert seen == expected
+    if p <= 3 and degree_bound <= 1:
+        assert redraws > 0
