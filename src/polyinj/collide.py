@@ -450,11 +450,14 @@ def find_collisions(
     The report's classes are exactly the sets of two or more inputs with
     one exact value.  Shards run one after another in this process; a
     shard count outside [1, inputs] raises ValueError, and so does any
-    ``workers`` but 1.  ``stop_after_shards`` aborts after that many newly
+    ``workers`` but 1, and so does ``resume`` without a
+    ``checkpoint_path``.  ``stop_after_shards`` aborts after that many newly
     completed shards (checkpoint intact) and exists so interruption can be
     tested deterministically.
     """
     t0 = time.perf_counter()
+    if resume and not checkpoint_path:
+        raise ValueError("resume needs a checkpoint path to resume from")
     check_fingerprint_primes(primes)
     rows = compile_xy_terms(poly)
     axis = input_axis(space)

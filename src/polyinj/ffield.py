@@ -39,9 +39,8 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .rationals import is_prime
+from .rationals import check_prime
 
 Coeffs = tuple[int, ...]
 
@@ -175,18 +174,6 @@ def pfrob(a: Coeffs, p: int) -> Coeffs:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _check_prime(p: int) -> None:
-    """Refuse a modulus p that is not prime with ValueError.
-
-    F_p(t) needs a field of constants, and the Frobenius shortcut
-    g(t)^p = g(t^p) holds only in prime characteristic.  Passing verdicts
-    are cached, so each prime is tested once.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 @dataclass(frozen=True)
 class FpRatFun:
     """Rational function num/den over F_p, gcd-reduced with monic denominator.
@@ -201,7 +188,7 @@ class FpRatFun:
 
     def __post_init__(self):
         p = self.p
-        _check_prime(p)
+        check_prime(p)
         n = ptrim(c % p for c in self.num)
         d = ptrim(c % p for c in self.den)
         if not d:
@@ -488,7 +475,7 @@ def ff_collision_search(
     would have more than MAX_MOVED_COEFFS = 4096 coefficients
     (degree_bound * p + 1).
     """
-    _check_prime(p)
+    check_prime(p)
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     moved = degree_bound * p + 1

@@ -1,18 +1,18 @@
-"""Non-injectivity demonstrations over R and Q_p.
+"""Non-injectivity demonstrations over R and Q_p, certified exactly.
 
 No nonconstant polynomial map can be injective over a local field: near any
 point where a partial derivative is nonzero, the level curve f = c carries
 infinitely many points.  This module makes that concrete twice over:
 
-  * real_collision nudges the base point in x and re-solves for y in
-    double precision (bracket, bisect, then Newton polish);
+  * real_collision nudges in x and halves, in rational arithmetic, a
+    bracket where the resulting univariate equation changes sign exactly;
   * padic_collision nudges in x and Hensel-lifts a simple root mod p of
     the resulting univariate equation up to precision p^k.
 
-Derivative screening is exact in both cases: the formal partial is computed
-symbolically and evaluated in rational arithmetic before any numerics run.
-Only the real-root *values* are approximate; the p-adic residuals are exact
-integers checked by valuation.
+Everything is decided exactly: the derivative screen evaluates the formal
+partial in rational arithmetic, the real bracket's signs are exact, and the
+p-adic residuals are exact integers checked by valuation.  Floats appear
+only as the real report's rounded x, y and residual.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, udeg, uderiv, ueval, utrim
-from .rationals import is_prime
+from .poly import MultiPoly, udeg, ueval, utrim
+from .rationals import check_prime, rat_to_str
 
 REAL_DELTA_DEFAULT = Fraction(1, 1024)
-TOL_FLOOR = 1e-12  # documented floor: double precision cannot certify below this
 _BRACKET_SAMPLES = 64
 _MAX_BRACKET_EXPANSIONS = 33  # y0 +- 2^j for j in 0..32
+_MAX_HALVINGS = 1100  # reaches any positive double tol at a simple root
 
 
 class DerivativeVanishesError(ValueError):
@@ -34,7 +34,7 @@ class DerivativeVanishesError(ValueError):
 
 
 class NoCollisionFoundError(RuntimeError):
-    """Root bracketing or polishing failed; try a different base point."""
+    """No sign change was found, or no midpoint met tol within the cap."""
 
 
 class HenselInapplicableError(RuntimeError):
@@ -43,12 +43,17 @@ class HenselInapplicableError(RuntimeError):
 
 @dataclass(frozen=True)
 class RealPoint:
+    """x, y and residual |g(y)| rounded once; g changes sign on [y_lo, y_hi]."""
+
     x: float
     y: float
     residual: float
+    y_lo: Fraction
+    y_hi: Fraction
 
     def to_json_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "residual": self.residual}
+        bracket = {"y_lo": rat_to_str(self.y_lo), "y_hi": rat_to_str(self.y_hi)}
+        return {"x": self.x, "y": self.y, "residual": self.residual, **bracket}
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,6 @@ def _minus_constant(cs, c: Fraction) -> tuple[Fraction, ...]:
     return utrim([(cs[0] if cs else 0) - c, *cs[1:]])
 
 
-def _horner(cs, v: float) -> float:
-    """Float value at v of the polynomial with coefficients cs, low degree first."""
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * v + c
-    return acc
-
-
 def _horner_mod(cs, v: int, m: int) -> int:
     """Value mod m at v of the polynomial with coefficients cs, low degree first."""
     acc = 0
@@ -111,6 +108,26 @@ def _screen_partial_y(f: MultiPoly, x0: Fraction, y0: Fraction) -> None:
         )
 
 
+def _sign_change(g, y0: Fraction) -> tuple[Fraction, Fraction, bool] | None:
+    """First grid bracket (lo, hi, g(lo) < 0) of a sign change of g, or None.
+
+    The grid is y0 +- 2^j in _BRACKET_SAMPLES steps for j in turn; an exact
+    zero at a grid point y is returned as the bracket (y, y, False).
+    """
+    for j in range(_MAX_BRACKET_EXPANSIONS):
+        step = Fraction(2 ** (j + 1), _BRACKET_SAMPLES)
+        prev = None
+        for k in range(_BRACKET_SAMPLES + 1):
+            y = y0 - 2**j + k * step
+            v = ueval(g, y)
+            if v == 0:
+                return y, y, False
+            if prev is not None and (prev < 0) != (v < 0):
+                return y - step, y, prev < 0
+            prev = v
+    return None
+
+
 def real_collision(
     f: MultiPoly,
     x0,
@@ -119,94 +136,47 @@ def real_collision(
     *,
     delta: Fraction = REAL_DELTA_DEFAULT,
 ) -> RealPoint:
-    """Distinct point (x1, y1) with |f(x1, y1) - f(x0, y0)| <= tol.
+    """Distinct point (x1, y1) with |f(x1, y1) - f(x0, y0)| <= tol, certified.
 
-    x1 = x0 + delta exactly; y1 solves f(x1, y) = f(x0, y0) numerically.
-    Requires df/dy nonzero at the base point (checked exactly).
+    x1 = x0 + delta exactly.  With g(y) = f(x1, y) - f(x0, y0), the grid of
+    _sign_change brackets a sign change of g, and the bracket is halved in
+    rational arithmetic until the first midpoint with |g(mid)| <= tol; at
+    most _MAX_HALVINGS halvings, then NoCollisionFoundError.  The exact
+    signs of g at y_lo and y_hi prove, by the intermediate value theorem, a
+    real y* in [y_lo, y_hi] with f(x1, y*) = f(x0, y0).  Requires df/dy
+    nonzero at the base point (checked exactly) and a finite tol >= 0.
     """
-    if not tol >= 0:  # also refuses NaN, for which tol < 0 is false
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    x0, y0 = Fraction(x0), Fraction(y0)
+    if not 0 <= tol < float("inf"):  # also refuses NaN, for which both are false
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    x0, y0, tol_q = Fraction(x0), Fraction(y0), Fraction(tol)
     if delta == 0:
         raise ValueError("delta must be nonzero: the returned point must differ in x")
     if f.total_degree() <= 0:
         raise ValueError("f must be nonconstant")
     x1 = x0 + Fraction(delta)
-    g_exact = _univariate_in_y(f, x1)  # refuses z and w before the screen
+    g = _univariate_in_y(f, x1)  # refuses z and w before the screen
     _screen_partial_y(f, x0, y0)
-
     c = f.eval_xy(x0, y0)
-    # g(y) = f(x1, y) - c, as float coefficients for the numeric stage.
-    g_exact = _minus_constant(g_exact, c)
-    g = [float(cf) for cf in g_exact]
-    dg = [float(cf) for cf in uderiv(g_exact)]
+    g = _minus_constant(g, c)
 
-    y0f = float(y0)
-    lo = hi = None
-    for j in range(_MAX_BRACKET_EXPANSIONS):
-        half = 2.0**j
-        a, b = y0f - half, y0f + half
-        step = (b - a) / _BRACKET_SAMPLES
-        prev_y, prev_v = a, _horner(g, a)
-        found = False
-        for k in range(1, _BRACKET_SAMPLES + 1):
-            cur_y = a + k * step
-            cur_v = _horner(g, cur_y)
-            if prev_v == 0.0:
-                lo = hi = prev_y
-                found = True
-                break
-            if (prev_v < 0) != (cur_v < 0):
-                lo, hi = prev_y, cur_y
-                found = True
-                break
-            prev_y, prev_v = cur_y, cur_v
-        if found:
-            break
-    if lo is None:
+    bracket = _sign_change(g, y0)
+    if bracket is None:
         raise NoCollisionFoundError(
             f"no sign change for f({x1}, y) = {c} within y0 +- 2^32; move the base point"
         )
-
-    if lo != hi:
-        # Bisect to a 1e-4 window, then let Newton finish.
-        flo = _horner(g, lo)
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            fmid = _horner(g, mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) != (fmid < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-
-    y = 0.5 * (lo + hi)
-    best_y, best_res = y, abs(_horner(g, y))
-    for _ in range(100):
-        if best_res <= tol:
-            break
-        d = _horner(dg, y)
-        if d == 0.0 or d != d:
-            break
-        y = y - _horner(g, y) / d
-        res = abs(_horner(g, y))
-        if res < best_res:
-            best_y, best_res = y, res
+    lo, hi, lo_negative = bracket
+    for _ in range(_MAX_HALVINGS):
+        mid = (lo + hi) / 2
+        v = ueval(g, mid)
+        if abs(v) <= tol_q:
+            return RealPoint(x=float(x1), y=float(mid), residual=float(abs(v)), y_lo=lo, y_hi=hi)
+        if (v < 0) == lo_negative:
+            lo = mid
         else:
-            break
-    if best_res > tol:
-        hint = (
-            f" (tol below the double-precision floor {TOL_FLOOR:.0e}; "
-            "only rational hits can do better)"
-            if 0 < tol < TOL_FLOOR
-            else ""
-        )
-        raise NoCollisionFoundError(
-            f"Newton polishing stalled at residual {best_res:.3e} > tol {tol:.3e}{hint}"
-        )
-    return RealPoint(x=float(x1), y=best_y, residual=best_res)
+            hi = mid
+    raise NoCollisionFoundError(
+        f"no midpoint with |g| <= tol {tol} in _MAX_HALVINGS = {_MAX_HALVINGS} halvings"
+    )
 
 
 def _valuation(value: Fraction, p: int) -> int | None:
@@ -236,8 +206,7 @@ def padic_collision(
     Newton-lifts in Z/p^precision.  The valuation trace is exact and
     nondecreasing by construction.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     x0, y0 = base

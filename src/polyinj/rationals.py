@@ -74,6 +74,17 @@ def _check_primes(primes: tuple[int, ...]) -> None:
             raise ValueError(f"fingerprint primes must be prime, got {q}")
 
 
+@lru_cache(maxsize=64)
+def check_prime(p: int) -> None:
+    """Refuse a modulus p that is not prime with ValueError("p is not prime").
+
+    F_p(t) and Hensel lifting both need a field of residues mod p.  Passing
+    verdicts are cached, so each prime is tested once.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def rat_to_str(r: Fraction) -> str:
     """Serialize as "num/den", always with the denominator ("0/1", "-3/7")."""
     return f"{r.numerator}/{r.denominator}"

@@ -175,6 +175,15 @@ def test_checkpoint_resume_cli(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_resume_without_checkpoint_exit_1_structured(tmp_path):
+    res = run(["collide", "--poly", "x^3+y^3", "--mode", "int", "--height", "5", "--resume",
+               "--out", str(tmp_path / "rep.json")])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValueError" and "checkpoint" in err["message"]
+    assert not (tmp_path / "rep.json").exists()
+
+
 @pytest.mark.parametrize("poly, mode, height, digest", [
     ("x^7+3*y^7", "rat", "14",
      "56949d6ba2af1c4c020c6c1c2cec7010b70f8909a581d0249ece1e7396ad81ed"),
@@ -194,7 +203,7 @@ def test_collide_out_bytes_pinned(tmp_path, poly, mode, height, digest):
     (["ffield", "--p", "3", "--deg", "2", "--trials", "500", "--seed", "1"],
      "c21d40a3c42e7969209c7065aaff20cb5b26d1de32d4bcc18260650c5627088d"),
     (["local", "--poly", "x^7+3*y^7", "--real", "--at", "1,1", "--tol", "1e-12"],
-     "1bfe2d098ceabb37c39c79558c15fd90fb9f0a03e979907f1b427e1ea0b56781"),
+     "ddd1168a850c86571dc8e5b15f7a20a910ad5a23e252191b219c4cd9b26ea0ef"),
     (["local", "--poly", "x^3+y^3", "--padic", "5", "--prec", "8", "--at", "1,1",
       "--delta", "5"],
      "1e452de55541d35524d18d991a7a0efe9a8e80eb7b0c87f44d2dc7dcf3ae973f"),
@@ -204,6 +213,14 @@ def test_ffield_and_local_out_bytes_pinned(tmp_path, args, digest):
     res = run([*args, "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_local_real_non_finite_tol_exit_1_structured():
+    # 1e400 overflows to inf, which has no exact rational value.
+    res = run(["local", "--poly", "x^7+3*y^7", "--real", "--at", "1,1", "--tol", "1e400"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValueError" and "finite" in err["message"]
 
 
 def test_corrupt_checkpoint_exit_1_structured(tmp_path):

@@ -270,6 +270,11 @@ def test_checkpoint_mismatch_rejected(tmp_path):
                         checkpoint_path=ck, resume=True)
 
 
+def test_resume_without_checkpoint_refused():
+    with pytest.raises(ValueError, match="checkpoint"):
+        find_collisions(parse_poly("x + y"), SearchSpace("integers", 4), resume=True)
+
+
 def _corrupt(doc: dict, case: str) -> str:
     """Damage a parsed 4-shard checkpoint; return what its refusal must name."""
     shards = doc["completed"]

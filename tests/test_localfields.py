@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyinj.localfields import (
     DerivativeVanishesError,
     HenselInapplicableError,
     NoCollisionFoundError,
+    REAL_DELTA_DEFAULT,
     padic_collision,
     real_collision,
 )
 from polyinj.parser import parse_poly
+from polyinj.poly import MultiPoly
 
 
 def bisect_oracle(fn, lo, hi, iters=200):
@@ -77,7 +80,63 @@ def test_real_rejects_constant_and_bad_tol():
     with pytest.raises(ValueError):
         real_collision(parse_poly("x + y"), 0, 0, float("nan"))
     with pytest.raises(ValueError):
+        real_collision(parse_poly("x + y"), 0, 0, float("inf"))
+    with pytest.raises(ValueError):
         real_collision(parse_poly("x + y"), 0, 0, 1e-9, delta=Fraction(0))
+
+
+def assert_real_certificate(f, x0, y0, delta, tol, r):
+    """The report's bracket, checked with MultiPoly.eval_xy alone."""
+    x1 = Fraction(x0) + Fraction(delta)
+    c = f.eval_xy(Fraction(x0), Fraction(y0))
+    g_lo = f.eval_xy(x1, r.y_lo) - c
+    g_hi = f.eval_xy(x1, r.y_hi) - c
+    assert r.x == float(x1)
+    assert r.y_lo <= r.y_hi
+    assert float(r.y_lo) <= r.y <= float(r.y_hi)
+    assert r.residual <= tol
+    assert g_lo * g_hi <= 0  # opposite signs, or an exact root at an end
+    assert r.y_lo < r.y_hi or g_lo == 0
+
+
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_monomials = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: sum(e) <= 5)
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(_monomials, st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                    min_size=1, max_size=6),
+    _small_q,
+    _small_q,
+    st.sampled_from([Fraction(1, 1024), Fraction(-1), Fraction(1, 3)]),
+    st.sampled_from([0.0, 1e-6, 1e-12, 2.0**-100]),
+)
+def test_real_certificate_property(terms, x0, y0, delta, tol):
+    f = MultiPoly(("x", "y"), {e: c for e, c in terms.items() if c})
+    assume(f.total_degree() > 0)
+    try:
+        r = real_collision(f, x0, y0, tol, delta=delta)
+    except (DerivativeVanishesError, NoCollisionFoundError):
+        return
+    assert_real_certificate(f, x0, y0, delta, tol, r)
+
+
+def test_real_tol_below_double_precision():
+    f = parse_poly("x^7 + 3*y^7")
+    tol = 2.0**-200
+    r = real_collision(f, 1, 1, tol)
+    assert_real_certificate(f, 1, 1, REAL_DELTA_DEFAULT, tol, r)
+    assert 0 < r.y_hi - r.y_lo < Fraction(1, 2**190)
+
+
+def test_real_exact_root_on_grid_and_cap():
+    # g(y) = 1 + y has its root at the first grid point y0 - 1 = -1.
+    r = real_collision(parse_poly("x^2 + y"), 0, 0, 0.0, delta=Fraction(1))
+    assert r.y_lo == r.y_hi == -1 and r.residual == 0.0
+    # tol = 0 at the irrational root 4 - (1 + 1/1024)^7 = 3y^7: refused at the cap.
+    with pytest.raises(NoCollisionFoundError, match="1100 halvings"):
+        real_collision(parse_poly("x^7 + 3*y^7"), 1, 1, 0.0)
 
 
 def test_padic_linear_exact():
@@ -142,7 +201,7 @@ def test_padic_default_delta_is_p():
 
 def test_json_shapes():
     rp = real_collision(parse_poly("x + y"), 0, 0, 0.0)
-    assert set(rp.to_json_dict()) == {"x", "y", "residual"}
+    assert set(rp.to_json_dict()) == {"x", "y", "residual", "y_lo", "y_hi"}
     pa = padic_collision(parse_poly("x + y"), 5, 3, (0, 0), 1)
     d = pa.to_json_dict()
     assert d["residual_valuation"] == "inf"
