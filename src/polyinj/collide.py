@@ -3,16 +3,22 @@
 The engine runs a two-phase equality join over all input pairs of bounded
 height:
 
-  phase 1  fingerprint every input pair in word-sized residues, keeping
-           only (fingerprint, input index): per prime q, f's coefficients
-           and the axis values are reduced mod q once, and no exact value
-           is built.  An input falls back to exact evaluation only where q
+  phase 1  keep one word per input: its slot for the first fingerprint
+           prime q, the residue of its value mod q (None where q divides
+           the value's denominator), in input order.  f's coefficients and
+           the axis values are reduced mod q once, and no exact value is
+           built.  An input falls back to exact evaluation only where q
            shares a factor with a coefficient denominator or with one of
            its two denominators (input denominators are at most H, far
            below the default 62-bit primes);
-  phase 2  bucket by fingerprint, evaluate every member of a multi-member
-           bucket exactly once and group the bucket by exact value; each
-           group of two or more inputs is one equal-value class.
+  phase 2  count the slots and keep, as candidates, the inputs whose slot
+           occurs twice or more, with C loops only (``Counter``,
+           ``itertools.compress``); give the candidates the other primes'
+           slots with the same kernel, run on their rows only; bucket them
+           by full fingerprint, evaluate every member of a multi-member
+           bucket exactly once, in integers over one common denominator,
+           and group the bucket by exact value; each group of two or more
+           inputs is one equal-value class.
 
 Every reported collision is exactly confirmed; fingerprints can only cost
 time, never soundness.  A class of k inputs is held as k indices; its
@@ -26,10 +32,12 @@ sort_keys=True)`` layout, one row (an input and its later class-mates) at
 a time from one template, so its memory does not grow with the number of
 pairs; ``to_json_text`` collects that stream in a string.
 ``to_json_dict`` builds the same document as nested lists, for the
-construction trace and as the writer's test oracle.  A checkpoint holds
-every completed shard's (fingerprint, index) list; each shard is encoded
-once, by one ``json.dumps`` call that runs CPython's C encoder, so the
-encoding cost grows linearly with the shard count.  The file is still
+construction trace and as the writer's test oracle.  A checkpoint
+(version 2) holds every completed shard's list of first-prime slots, one
+int or null per input, the index implicit in the position; the header
+keeps the whole prime tuple.  Each shard is encoded once, by one
+``json.dumps`` call that runs CPython's C encoder, so the encoding cost
+grows linearly with the shard count.  The file is still
 rewritten whole after each shard, so the bytes written grow with the
 square of the shard count.
 
@@ -44,10 +52,12 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import chain, compress, groupby
+from math import gcd, lcm
 
 from .poly import MultiPoly
 from .rationals import FINGERPRINT_PRIMES, check_fingerprint_primes, rat_to_str
@@ -117,27 +127,55 @@ def compile_xy_terms(poly: MultiPoly) -> list[tuple[int, int, int, int]]:
 def make_evaluator(rows):
     """Exact evaluator (x, y) -> value from compiled term rows.
 
-    Coefficients stay int where their denominator is 1 and powers start
-    from int 1, so integer inputs with integer coefficients never touch
-    Fraction; any Fraction coefficient or input makes the value a Fraction.
+    The coefficients are scaled once to integers over their common
+    denominator L.  At x = a/b, y = c/d with Dx, Dy the largest x and y
+    exponents, the sum N of the terms of L*f(x, y)*b^Dx*d^Dy runs in int
+    arithmetic and the value is Fraction(N, L*b^Dx*d^Dy): one
+    normalization per value.  Integer inputs with integer coefficients
+    give the int N itself.
     """
     if not rows:
         return lambda xv, yv: 0
     max_ex = max(r[0] for r in rows)
     max_ey = max(r[1] for r in rows)
-    coeff_rows = [(ex, ey, n if d == 1 else Fraction(n, d)) for (ex, ey, n, d) in rows]
+    den = lcm(*(d for *_, d in rows))
+    int_rows = [(ex, ey, n * (den // d)) for (ex, ey, n, d) in rows]
 
     def ev(xv, yv):
+        if type(xv) is int:
+            a, b = xv, 1
+        else:
+            a, b = xv.numerator, xv.denominator
+        if type(yv) is int:
+            c, d = yv, 1
+        else:
+            c, d = yv.numerator, yv.denominator
         px = [1]
         for _ in range(max_ex):
-            px.append(px[-1] * xv)
+            px.append(px[-1] * a)
         py = [1]
         for _ in range(max_ey):
-            py.append(py[-1] * yv)
+            py.append(py[-1] * c)
+        # Homogenize: px[e] = a^e * b^(max_ex - e), and b becomes b^max_ex;
+        # likewise py and d.
+        if b != 1:
+            bx = 1
+            for e in range(max_ex - 1, -1, -1):
+                bx *= b
+                px[e] *= bx
+            b = bx
+        if d != 1:
+            dy = 1
+            for e in range(max_ey - 1, -1, -1):
+                dy *= d
+                py[e] *= dy
+            d = dy
         total = 0
-        for ex, ey, c in coeff_rows:
-            total += c * px[ex] * py[ey]
-        return total
+        for ex, ey, k in int_rows:
+            total += k * px[ex] * py[ey]
+        if den == b == d == 1:
+            return total
+        return Fraction(total, den * b * d)
 
     return ev
 
@@ -187,41 +225,71 @@ def _row_residues(table, i, lo, hi):
     return [a % q for a in acc]
 
 
-def _phase1_shard(rows, axis, start, end, primes):
-    """(fingerprint, index) for inputs start..end-1 of axis x axis, in residues.
+def _prime_slots(rows, axis, q, spans):
+    """Per (i, lo, hi) span, the slots mod q of f(axis[i], axis[j]) for j in lo..hi-1.
 
-    ``rows`` are f's compiled terms and ``primes`` the fingerprint primes.
-    Per prime q the coefficients and axis values are reduced mod q once;
-    each x is folded into a polynomial in y, whose value at every y of the
-    row is a few word-sized products.  An input is reduced only when q is
-    coprime to every coefficient denominator and to both input
-    denominators: reduction is then a ring homomorphism on everything
-    involved, so the residue equals the fingerprint of the exact value.
-    Any other input is evaluated exactly and fingerprinted as such.
+    A slot is the input's fingerprint entry for q alone: the residue of
+    its exact value, or None where q divides the value's denominator.
+    Coefficients and axis values are reduced mod q once; each x is folded
+    into a polynomial in y, whose value at every y of the span is a few
+    word-sized products.  An input is reduced only when q is coprime to
+    every coefficient denominator and to both input denominators:
+    reduction is then a ring homomorphism on everything involved, so the
+    residue equals the slot of the exact value.  Any other input is
+    evaluated exactly and fingerprinted as such.
     """
-    n = len(axis)
     ev = make_evaluator(rows)
 
     def exact(i, j):
-        return fingerprint_value(ev(axis[i], axis[j]), primes)
+        return fingerprint_value(ev(axis[i], axis[j]), (q,))[0]
 
-    if any(gcd(d, q) != 1 for (_, _, _, d) in rows for q in primes):
-        return [(exact(idx // n, idx % n), idx) for idx in range(start, end)]
-    inexact = {j for j, v in enumerate(axis) if any(gcd(v.denominator, q) != 1 for q in primes)}
-    tables = [_residue_table(rows, axis, inexact, q) for q in primes]
-    out = []
-    for i in range(start // n, (end - 1) // n + 1):
-        base = i * n
-        lo, hi = max(start - base, 0), min(end - base, n)
+    if any(gcd(d, q) != 1 for (_, _, _, d) in rows):
+        for i, lo, hi in spans:
+            yield [exact(i, j) for j in range(lo, hi)]
+        return
+    inexact = {j for j, v in enumerate(axis) if gcd(v.denominator, q) != 1}
+    table = _residue_table(rows, axis, inexact, q)
+    for i, lo, hi in spans:
         if i in inexact:
-            out.extend((exact(i, j), base + j) for j in range(lo, hi))
+            yield [exact(i, j) for j in range(lo, hi)]
             continue
-        fps = list(zip(*[_row_residues(t, i, lo, hi) for t in tables])) or [()] * (hi - lo)
+        slots = _row_residues(table, i, lo, hi)
         for j in inexact:
             if lo <= j < hi:
-                fps[j - lo] = exact(i, j)
-        out.extend(zip(fps, range(base + lo, base + hi)))
-    return out
+                slots[j - lo] = exact(i, j)
+        yield slots
+
+
+def _phase1_shard(rows, axis, start, end, primes):
+    """The first prime's slot for each of inputs start..end-1 of axis x axis, in order.
+
+    ``rows`` are f's compiled terms and ``primes`` the fingerprint primes;
+    only ``primes[0]`` is used, and the input index is implicit in the
+    position.  See ``_prime_slots``.
+    """
+    n = len(axis)
+    spans = [(i, max(start - i * n, 0), min(end - i * n, n))
+             for i in range(start // n, (end - 1) // n + 1)]
+    return list(chain.from_iterable(_prime_slots(rows, axis, primes[0], spans)))
+
+
+def _candidate_fingerprints(rows, axis, primes, slots, candidates):
+    """Full fingerprints of the candidate inputs, in order of ``candidates``.
+
+    ``slots`` holds every input's first-prime slot; the other primes'
+    slots are computed by the phase-1 kernel on the rows that hold a
+    candidate, each over the span from its first to its last candidate.
+    """
+    n = len(axis)
+    cols = [list(map(slots.__getitem__, candidates))]
+    by_row = [list(idxs) for _, idxs in groupby(candidates, n.__rfloordiv__)]
+    spans = [(idxs[0] // n, idxs[0] % n, idxs[-1] % n + 1) for idxs in by_row]
+    for q in primes[1:]:
+        col = []
+        for (i, lo, _), idxs, row in zip(spans, by_row, _prime_slots(rows, axis, q, spans)):
+            col += map(row.__getitem__, map((i * n + lo).__rsub__, idxs))
+        cols.append(col)
+    return zip(*cols)
 
 
 # -- checkpointing ----------------------------------------------------------------
@@ -229,7 +297,7 @@ def _phase1_shard(rows, axis, start, end, primes):
 
 def _checkpoint_header(poly, space, shards, primes) -> dict:
     return {
-        "version": 1,
+        "version": 2,
         "poly": poly.to_json_dict(),
         "mode": space.mode,
         "height": space.height,
@@ -246,7 +314,8 @@ def _write_checkpoint(path: str, header: dict, completed: dict,
     by one ``json.dumps`` call, which runs CPython's C encoder, and the
     members are written in the dict's own order with the separators
     ``json.dumps`` uses, so the bytes are those of one ``json.dumps`` of the
-    header plus ``"completed"``: the version-1 format.  ``encoded`` keeps
+    header plus ``"completed"``: the version-2 format, in which a shard is
+    the flat list of its inputs' first-prime slots.  ``encoded`` keeps
     each member's text by shard id across calls, so a shard is encoded
     once however often the file is rewritten.
     """
@@ -269,9 +338,10 @@ def _load_checkpoint(path: str, header: dict, ranges: list[tuple[int, int]]) -> 
     """Completed shards of a checkpoint written by this search, keyed by shard id.
 
     Raises ValueError, naming the path and the shard, unless the file is a
-    JSON object whose header equals this search's and whose every shard id
-    is one of ``ranges`` and holds exactly the inputs of its range, in
-    order, each with one fingerprint slot per prime.  The fingerprint
+    JSON object whose header equals this search's (so a version-1 file is
+    refused by its ``version`` field) and whose every shard id is the
+    decimal form of one of ``ranges``' ids and holds exactly one
+    first-prime slot, an int or null, per input of its range.  The slot
     values themselves are not re-verified: that would cost the shard's
     phase 1 again.
     """
@@ -290,24 +360,20 @@ def _load_checkpoint(path: str, header: dict, ranges: list[tuple[int, int]]) -> 
     shards = doc.get("completed")
     if not isinstance(shards, dict):
         raise ValueError(f"checkpoint {path} has no 'completed' object")
-    width = len(header["primes"])
     completed = {}
-    for key, items in shards.items():
+    for key, slots in shards.items():
         sid = int(key) if key.isdecimal() else -1
-        if not 0 <= sid < len(ranges):
-            raise ValueError(f"checkpoint {path}: shard id {key!r} is not in [0, {len(ranges)})")
+        if not 0 <= sid < len(ranges) or key != str(sid):
+            raise ValueError(f"checkpoint {path}: shard id {key!r} is not one of "
+                             f"'0'..'{len(ranges) - 1}'")
         start, end = ranges[sid]
-        try:
-            fps = [tuple(fp) for fp, _ in items if isinstance(fp, list) and len(fp) == width]
-            ok = len(fps) == len(items) and [idx for _, idx in items] == list(range(start, end))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
+        if not (isinstance(slots, list) and len(slots) == end - start
+                and set(map(type, slots)) <= {int, type(None)}):
             raise ValueError(
-                f"checkpoint {path}: shard {sid} does not hold exactly inputs "
-                f"{start}..{end - 1} in order, each with {width} fingerprint slots"
+                f"checkpoint {path}: shard {sid} does not hold exactly one slot "
+                f"(an int or null) for each of inputs {start}..{end - 1}"
             )
-        completed[sid] = list(zip(fps, range(start, end)))
+        completed[sid] = slots
     return completed
 
 
@@ -453,7 +519,8 @@ def find_collisions(
     ``workers`` but 1, and so does ``resume`` without a
     ``checkpoint_path``.  ``stop_after_shards`` aborts after that many newly
     completed shards (checkpoint intact) and exists so interruption can be
-    tested deterministically.
+    tested deterministically; a value below 1 raises ValueError before any
+    work.
     """
     t0 = time.perf_counter()
     if resume and not checkpoint_path:
@@ -466,6 +533,8 @@ def find_collisions(
     shards = _default_shards(total) if shards is None else shards
     if not 1 <= shards <= total:
         raise ValueError(f"shard count must be in [1, {total}], got {shards}")
+    if stop_after_shards is not None and stop_after_shards < 1:
+        raise ValueError(f"stop_after_shards must be >= 1, got {stop_after_shards}")
     if workers != 1:
         raise ValueError(f"worker count must be 1: the collision join runs in one process, "
                          f"got {workers}")
@@ -487,23 +556,41 @@ def find_collisions(
             raise SearchInterrupted(checkpoint_path or "<no checkpoint>")
     del encoded  # as large as the checkpoint, and the merge below does not read it
 
-    # Keep only fingerprints shared by two or more inputs.  Each bucket
-    # lists its indices in ascending order (shards merge in id order).
-    first: dict[tuple, int] = {}
-    buckets: dict[tuple, list[int]] = {}
-    for s in range(shards):
-        for fp, idx in completed[s]:
-            j = first.setdefault(fp, idx)
-            if j != idx:
-                buckets.setdefault(fp, [j]).append(idx)
-    del first
+    # Candidates are the inputs whose first-prime slot occurs twice or more,
+    # found by C loops alone: slots in index order, counted, filtered.  The
+    # filters are skipped when every slot is distinct, the common case for
+    # an injective f.
+    slots = list(chain.from_iterable(map(completed.pop, range(shards))))
+    counts = Counter(slots)
+    candidates = []
+    if len(counts) < total:
+        repeated = set(compress(counts, map((1).__lt__, counts.values())))
+        del counts  # as large as the slots, and the filter below does not read it
+        candidates = list(compress(range(total), map(repeated.__contains__, slots)))
+        del repeated
 
-    # Every candidate is evaluated exactly once; its bucket splits by value.
+    # Bucket the candidates by full fingerprint, in ascending index order.
+    buckets: dict[tuple, list[int]] = {}
+    for fp, idx in zip(_candidate_fingerprints(rows, axis, primes, slots, candidates),
+                       candidates):
+        buckets.setdefault(fp, []).append(idx)
+    del slots, candidates
+
+    # Every member of a shared bucket is evaluated exactly once; its bucket
+    # splits by value.
     ev = make_evaluator(rows)
-    candidates = 0
+    confirmed = 0
     classes = []
     for idxs in buckets.values():
-        candidates += len(idxs)
+        if len(idxs) < 2:
+            continue
+        confirmed += len(idxs)
+        if len(idxs) == 2:  # the common case, without a dict
+            a, b = idxs
+            v = ev(axis[a // n], axis[a % n])
+            if v == ev(axis[b // n], axis[b % n]):
+                classes.append((tuple(idxs), v))
+            continue
         by_value: dict = {}
         for idx in idxs:
             by_value.setdefault(ev(axis[idx // n], axis[idx % n]), []).append(idx)
@@ -513,8 +600,8 @@ def find_collisions(
 
     stats = {
         "inputs_evaluated": total,
-        "fingerprint_candidates": candidates,
-        "exact_confirms": candidates,
+        "fingerprint_candidates": confirmed,
+        "exact_confirms": confirmed,
         "wall_time": time.perf_counter() - t0,
     }
     return CollisionReport(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .poly import MultiPoly, udeg, ueval, utrim
 from .rationals import check_prime, rat_to_str
@@ -108,18 +109,40 @@ def _screen_partial_y(f: MultiPoly, x0: Fraction, y0: Fraction) -> None:
         )
 
 
-def _sign_change(g, y0: Fraction) -> tuple[Fraction, Fraction, bool] | None:
+def _integer_coeffs(g) -> tuple[list[int], int]:
+    """(L*g, L): g's coefficients scaled to ints by their least common denominator L."""
+    den = lcm(*(c.denominator for c in g))
+    return [c.numerator * (den // c.denominator) for c in g], den
+
+
+def _scaled_value(coeffs: list[int], y: Fraction) -> int:
+    """b^deg * G(a/b) for y = a/b in lowest terms, deg = len(coeffs) - 1.
+
+    A Horner sum homogenized in (a, b), in int arithmetic.  With b > 0 its
+    sign is that of G(y), and G(y) is this value over b^deg.
+    """
+    a, b = y.numerator, y.denominator
+    acc, bp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc
+
+
+def _sign_change(coeffs: list[int], y0: Fraction) -> tuple[Fraction, Fraction, bool] | None:
     """First grid bracket (lo, hi, g(lo) < 0) of a sign change of g, or None.
 
-    The grid is y0 +- 2^j in _BRACKET_SAMPLES steps for j in turn; an exact
-    zero at a grid point y is returned as the bracket (y, y, False).
+    ``coeffs`` are g's coefficients times a positive constant, so the signs
+    are g's.  The grid is y0 +- 2^j in _BRACKET_SAMPLES steps for j in
+    turn; an exact zero at a grid point y is returned as the bracket
+    (y, y, False).
     """
     for j in range(_MAX_BRACKET_EXPANSIONS):
         step = Fraction(2 ** (j + 1), _BRACKET_SAMPLES)
         prev = None
         for k in range(_BRACKET_SAMPLES + 1):
             y = y0 - 2**j + k * step
-            v = ueval(g, y)
+            v = _scaled_value(coeffs, y)
             if v == 0:
                 return y, y, False
             if prev is not None and (prev < 0) != (v < 0):
@@ -141,7 +164,10 @@ def real_collision(
     x1 = x0 + delta exactly.  With g(y) = f(x1, y) - f(x0, y0), the grid of
     _sign_change brackets a sign change of g, and the bracket is halved in
     rational arithmetic until the first midpoint with |g(mid)| <= tol; at
-    most _MAX_HALVINGS halvings, then NoCollisionFoundError.  The exact
+    most _MAX_HALVINGS halvings, then NoCollisionFoundError.  g is scaled
+    once to integer coefficients L*g, so each sign and each tol test at
+    y = a/b is decided on the integer b^deg * L*g(a/b); only the returned
+    point's residual is built as a Fraction.  The exact
     signs of g at y_lo and y_hi prove, by the intermediate value theorem, a
     real y* in [y_lo, y_hi] with f(x1, y*) = f(x0, y0).  Requires df/dy
     nonzero at the base point (checked exactly) and a finite tol >= 0.
@@ -157,9 +183,10 @@ def real_collision(
     g = _univariate_in_y(f, x1)  # refuses z and w before the screen
     _screen_partial_y(f, x0, y0)
     c = f.eval_xy(x0, y0)
-    g = _minus_constant(g, c)
+    coeffs, den = _integer_coeffs(_minus_constant(g, c))
+    deg = len(coeffs) - 1
 
-    bracket = _sign_change(g, y0)
+    bracket = _sign_change(coeffs, y0)
     if bracket is None:
         raise NoCollisionFoundError(
             f"no sign change for f({x1}, y) = {c} within y0 +- 2^32; move the base point"
@@ -167,9 +194,12 @@ def real_collision(
     lo, hi, lo_negative = bracket
     for _ in range(_MAX_HALVINGS):
         mid = (lo + hi) / 2
-        v = ueval(g, mid)
-        if abs(v) <= tol_q:
-            return RealPoint(x=float(x1), y=float(mid), residual=float(abs(v)), y_lo=lo, y_hi=hi)
+        v = _scaled_value(coeffs, mid)
+        # |g(mid)| = |v| / (L * b^deg) <= tol, cross-multiplied.
+        scale = den * mid.denominator**deg
+        if abs(v) * tol_q.denominator <= tol_q.numerator * scale:
+            residual = float(Fraction(abs(v), scale))
+            return RealPoint(x=float(x1), y=float(mid), residual=residual, y_lo=lo, y_hi=hi)
         if (v < 0) == lo_negative:
             lo = mid
         else:

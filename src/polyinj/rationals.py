@@ -51,7 +51,7 @@ def fingerprint(r: Fraction | int, primes: tuple[int, ...]) -> Fingerprint:
 
 
 def check_fingerprint_primes(primes: tuple[int, ...]) -> None:
-    """Refuse a prime tuple with repeats, an entry <= 2 or >= 2^64, or a composite.
+    """Refuse an empty prime tuple, repeats, an entry <= 2 or >= 2^64, or a composite.
 
     The 64-bit cap keeps every modulus where ``is_prime`` is exact.
 
@@ -63,6 +63,8 @@ def check_fingerprint_primes(primes: tuple[int, ...]) -> None:
 
 @lru_cache(maxsize=64)
 def _check_primes(primes: tuple[int, ...]) -> None:
+    if not primes:
+        raise ValueError("fingerprint primes must name at least one prime")
     if len(set(primes)) != len(primes):
         raise ValueError("fingerprint primes must be pairwise distinct")
     for q in primes:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from polyinj import collide
 from polyinj.collide import (
     SearchInterrupted,
     SearchSpace,
+    _candidate_fingerprints,
     _checkpoint_header,
     _phase1_shard,
     _shard_ranges,
@@ -288,11 +290,20 @@ def _corrupt(doc: dict, case: str) -> str:
         shards["0"][3] = [1, 2]
         return "shard 0"
     if case == "fingerprint-too-short":
-        shards["0"][0][0] = [7]
+        shards["0"][0] = [7]
         return "shard 0"
     if case == "shard-id-not-a-number":
         shards["x"] = shards.pop("2")
         return "'x'"
+    if case == "shard-id-leading-zero":
+        shards["01"] = shards.pop("1")
+        return "'01'"
+    if case == "shard-id-non-ascii-digit":
+        shards["\u0661"] = shards.pop("1")  # ARABIC-INDIC DIGIT ONE, isdecimal() is true
+        return "'\u0661'"
+    if case == "version-1":
+        doc["version"] = 1
+        return "'version'"
     assert case == "shard-id-out-of-range"
     shards["4"] = shards.pop("3")
     return "'4'"
@@ -300,7 +311,8 @@ def _corrupt(doc: dict, case: str) -> str:
 
 @pytest.mark.parametrize("case", [
     "truncated-shard", "missing-completed", "entry-not-a-pair", "fingerprint-too-short",
-    "shard-id-not-a-number", "shard-id-out-of-range", "not-json",
+    "shard-id-not-a-number", "shard-id-out-of-range", "not-json", "shard-id-leading-zero",
+    "shard-id-non-ascii-digit", "version-1",
 ])
 def test_corrupt_checkpoint_refused(tmp_path, case):
     poly, space = parse_poly("x^3+y^3"), SearchSpace("integers", 10)
@@ -368,8 +380,7 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path):
         ck = str(tmp_path / "scan.ck")
         _write_checkpoint(ck, header, completed)
         doc = dict(header)
-        doc["completed"] = {str(sid): [[list(fp), idx] for fp, idx in items]
-                            for sid, items in completed.items()}
+        doc["completed"] = {str(sid): slots for sid, slots in completed.items()}
         expected = io.StringIO()
         json.dump(doc, expected)
         with open(ck, encoding="utf-8") as fh:
@@ -378,16 +389,17 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path):
 
 @pytest.mark.parametrize("text, mode, height, stopped, report", [
     ("x^3+y^3", "integers", 30,
-     "8a3c9186925799485bbfb3f058f6ce3169305f10c48f35b03c4cbbc3c36d591f",
+     "6fbc96efe28678ee9ba0db48f95f7f932f533d238c8210ece92b940321cc7796",
      "18380016b7d98bf344216a6bf9fd24c5cba7353e33d5e4421f0c5a0ead9937d6"),
     ("(1/5)*x^2+(1/7)*y+(1/3)*x*y", "rationals", 6,
-     "94202690e267a3963674aa844d75d81a5b70adc4dfb933ea7f6a96b9216f8ed4",
+     "7340ad49f22bc605a738ac2b6024ca39460d05f4649ae20a64108fe84c88f918",
      "14498d248bb3b0bfc726da8f9ee4cd4b0932b7bd77bafbbea4d13dad05e2c73e"),
 ], ids=["cube-int", "fractional-rat"])
 def test_checkpoint_bytes_pinned(tmp_path, monkeypatch, text, mode, height, stopped, report):
-    # Digests from the version-1 writer that encoded with json.dump: a
-    # checkpoint stopped after 3 of 6 shards, and the report that both the
-    # uninterrupted and the resumed search give with checkpoint "cube.ck".
+    # A version-2 checkpoint (one first-prime slot per input) stopped after
+    # 3 of 6 shards, and the report that both the uninterrupted and the
+    # resumed search give with checkpoint "cube.ck"; the report digests are
+    # those of the version-1 writer, which encoded with json.dump.
     monkeypatch.chdir(tmp_path)
     poly, space = parse_poly(text), SearchSpace(mode, height)
     with pytest.raises(SearchInterrupted):
@@ -460,10 +472,10 @@ def _phase1_box(poly, space, primes, cuts=()):
 
 
 def test_phase1_residues_equal_exact_fingerprints():
-    # The residue kernel must give every input exactly the fingerprint of its
-    # exact value, including the inputs it has to evaluate exactly: tiny
-    # primes dividing a coefficient denominator (1/5 against q = 5) or an
-    # axis denominator (rationals of height >= 5).
+    # The residue kernel must give every input exactly the first prime's
+    # slot of its exact value's fingerprint, including the inputs it has to
+    # evaluate exactly: tiny primes dividing a coefficient denominator (1/5
+    # against q = 5) or an axis denominator (rationals of height >= 5).
     rng = random.Random(11)
     polys = [
         parse_poly("0"),
@@ -483,7 +495,7 @@ def test_phase1_residues_equal_exact_fingerprints():
             axis = input_axis(space)
             n = len(axis)
             for primes in (FINGERPRINT_PRIMES, (5, 7)):
-                want = [(fingerprint(poly.eval_xy(axis[i // n], axis[i % n]), primes), i)
+                want = [fingerprint(poly.eval_xy(axis[i // n], axis[i % n]), primes)[0]
                         for i in range(n * n)]
                 assert _phase1_box(poly, space, primes) == want, (poly.render(), space, primes)
                 # Shard bounds inside rows, and a one-input shard.
@@ -520,7 +532,89 @@ def test_bad_prime_tuples_refused_at_entry():
     for primes in [(0,), (7, 7), (2,), (9,), (5, 7 * 11), (3317044064679887385961981,)]:
         with pytest.raises(ValueError, match="fingerprint primes"):
             find_collisions(poly, SearchSpace("integers", 4), primes=primes)
+    # The join buckets on the first prime's slot, so it needs one prime.
+    with pytest.raises(ValueError, match="fingerprint primes must name at least one"):
+        find_collisions(poly, SearchSpace("integers", 4), primes=())
     # A composite modulus sharing a factor with a denominator used to fail
     # deep inside pow() instead.
     with pytest.raises(ValueError, match="fingerprint primes must be prime"):
         find_collisions(parse_poly("x*y"), SearchSpace("rationals", 3), primes=(9,))
+
+
+def test_stop_after_shards_below_one_refused_before_any_work(tmp_path):
+    poly, space = parse_poly("x^3 + y^3"), SearchSpace("integers", 5)
+    ck = tmp_path / "scan.ck"
+    for stop in (0, -1):
+        with pytest.raises(ValueError, match="stop_after_shards"):
+            find_collisions(poly, space, shards=3, checkpoint_path=str(ck),
+                            stop_after_shards=stop)
+        assert not ck.exists()
+
+
+def test_candidate_fingerprints_equal_exact_fingerprints():
+    # The other primes' slots, computed on the candidates' rows only, must
+    # complete each candidate's first slot to the fingerprint of its exact
+    # value, for dense and for sparse candidate sets.
+    rng = random.Random(25)
+    polys = [parse_poly("x^3 + y^3"), parse_poly("1/5*x^2 + 1/7*y + 1/3*x*y")]
+    while len(polys) < 6:
+        poly = random_multipoly(rng, max_terms=4, max_exp=5)
+        if set(poly.vars) <= {"x", "y"}:
+            polys.append(poly)
+    for poly in polys:
+        rows = compile_xy_terms(poly)
+        for space in (SearchSpace("integers", 3), SearchSpace("rationals", 5)):
+            axis = input_axis(space)
+            n = len(axis)
+            for primes in (FINGERPRINT_PRIMES, (5, 7), (7, 5), (5,)):
+                slots = _phase1_shard(rows, axis, 0, n * n, primes)
+                for candidates in (list(range(n * n)),
+                                   sorted(rng.sample(range(n * n), n)), [n + 1]):
+                    want = [fingerprint(poly.eval_xy(axis[i // n], axis[i % n]), primes)
+                            for i in candidates]
+                    got = list(_candidate_fingerprints(rows, axis, primes, slots, candidates))
+                    assert got == want, (poly.render(), space, primes)
+
+
+@pytest.mark.parametrize("primes", [FINGERPRINT_PRIMES, (5, 7), (7, 5),
+                                    (FINGERPRINT_PRIMES[1],), (5,)],
+                         ids=["default", "5-7", "7-5", "one-62-bit", "5-alone"])
+def test_join_matches_oracle_and_brute_force_candidates(tmp_path, primes):
+    # Random polynomials over both boxes; rationals of height 5 put q = 5
+    # in axis denominators.  At every shard count from 1 to 4, and resumed
+    # after a kill, the classes equal the oracle's and the candidate count
+    # equals the number of inputs whose full fingerprint is shared.
+    rng = random.Random(2025)
+    cases = [(parse_poly("x^3 + y^3"), SearchSpace("rationals", 5)),
+             (parse_poly("1/5*x^2 + 1/7*y + 1/3*x*y"), SearchSpace("rationals", 5)),
+             (parse_poly("x*y"), SearchSpace("integers", 4))]
+    while len(cases) < 7:
+        poly = random_multipoly(rng, max_terms=4, max_exp=4)
+        if set(poly.vars) <= {"x", "y"}:
+            mode = rng.choice(("integers", "rationals"))
+            cases.append((poly, SearchSpace(mode, rng.randint(1, 5))))
+    for k, (poly, space) in enumerate(cases):
+        oracle = naive_collisions(poly, space)
+        axis = input_axis(space)
+        n = len(axis)
+        fps = [fingerprint(poly.eval_xy(axis[i // n], axis[i % n]), primes)
+               for i in range(n * n)]
+        shared = Counter(fps)
+        want = sum(shared[fp] > 1 for fp in fps)
+        texts = set()
+        for shards in range(1, 5):
+            runs = [find_collisions(poly, space, shards=shards, primes=primes)]
+            if shards > 1:
+                ck = str(tmp_path / f"c{k}-{shards}.ck")
+                with pytest.raises(SearchInterrupted):
+                    find_collisions(poly, space, shards=shards, primes=primes,
+                                    checkpoint_path=ck, stop_after_shards=shards - 1)
+                runs.append(find_collisions(poly, space, shards=shards, primes=primes,
+                                            checkpoint_path=ck, resume=True))
+            for rep in runs:
+                assert rep.classes == oracle.classes, (poly.render(), space, shards)
+                assert rep.values == oracle.values
+                assert rep.stats["fingerprint_candidates"] == want
+                assert rep.stats["exact_confirms"] == want
+            texts.add(runs[0].to_json_text())
+        assert len(texts) == 1
