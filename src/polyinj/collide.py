@@ -11,10 +11,10 @@ height:
            shares a factor with a coefficient denominator or with one of
            its two denominators (input denominators are at most H, far
            below the default 62-bit primes);
-  phase 2  count the slots and keep, as candidates, the inputs whose slot
-           occurs twice or more, with C loops only (``Counter``,
-           ``itertools.compress``); give the candidates the other primes'
-           slots with the same kernel, run on their rows only; bucket them
+  phase 2  count the slots (``Counter``) and keep, as candidates, the
+           inputs whose slot occurs twice or more (``itertools.compress``);
+           give the candidates the other primes' slots with the same
+           kernel, run on their rows only; bucket them
            by full fingerprint, evaluate every member of a multi-member
            bucket exactly once, in integers over one common denominator,
            and group the bucket by exact value; each group of two or more
@@ -281,13 +281,14 @@ def _candidate_fingerprints(rows, axis, primes, slots, candidates):
     candidate, each over the span from its first to its last candidate.
     """
     n = len(axis)
-    cols = [list(map(slots.__getitem__, candidates))]
-    by_row = [list(idxs) for _, idxs in groupby(candidates, n.__rfloordiv__)]
+    cols = [[slots[idx] for idx in candidates]]
+    by_row = [list(idxs) for _, idxs in groupby(candidates, lambda idx: idx // n)]
     spans = [(idxs[0] // n, idxs[0] % n, idxs[-1] % n + 1) for idxs in by_row]
     for q in primes[1:]:
         col = []
         for (i, lo, _), idxs, row in zip(spans, by_row, _prime_slots(rows, axis, q, spans)):
-            col += map(row.__getitem__, map((i * n + lo).__rsub__, idxs))
+            base = i * n + lo
+            col += [row[idx - base] for idx in idxs]
         cols.append(col)
     return zip(*cols)
 
@@ -556,15 +557,15 @@ def find_collisions(
             raise SearchInterrupted(checkpoint_path or "<no checkpoint>")
     del encoded  # as large as the checkpoint, and the merge below does not read it
 
-    # Candidates are the inputs whose first-prime slot occurs twice or more,
-    # found by C loops alone: slots in index order, counted, filtered.  The
-    # filters are skipped when every slot is distinct, the common case for
-    # an injective f.
+    # Candidates are the inputs whose first-prime slot occurs twice or more.
+    # The slots, in index order, are counted and filtered by C loops; only
+    # the distinct slots' counts are read in Python.  The filters are
+    # skipped when every slot is distinct, the common case for an injective f.
     slots = list(chain.from_iterable(map(completed.pop, range(shards))))
     counts = Counter(slots)
     candidates = []
     if len(counts) < total:
-        repeated = set(compress(counts, map((1).__lt__, counts.values())))
+        repeated = {s for s, k in counts.items() if k > 1}
         del counts  # as large as the slots, and the filter below does not read it
         candidates = list(compress(range(total), map(repeated.__contains__, slots)))
         del repeated
@@ -576,27 +577,20 @@ def find_collisions(
         buckets.setdefault(fp, []).append(idx)
     del slots, candidates
 
-    # Every member of a shared bucket is evaluated exactly once; its bucket
-    # splits by value.
+    # Every member of a shared bucket is evaluated exactly once and grouped
+    # by value.  Equal values have equal fingerprints, so each group lies in
+    # one bucket and lists its members in ascending order.
     ev = make_evaluator(rows)
     confirmed = 0
-    classes = []
+    by_value: dict = {}
     for idxs in buckets.values():
-        if len(idxs) < 2:
-            continue
-        confirmed += len(idxs)
-        if len(idxs) == 2:  # the common case, without a dict
-            a, b = idxs
-            v = ev(axis[a // n], axis[a % n])
-            if v == ev(axis[b // n], axis[b % n]):
-                classes.append((tuple(idxs), v))
-            continue
-        by_value: dict = {}
-        for idx in idxs:
-            by_value.setdefault(ev(axis[idx // n], axis[idx % n]), []).append(idx)
-        classes.extend((tuple(m), v) for v, m in by_value.items() if len(m) > 1)
+        if len(idxs) > 1:
+            confirmed += len(idxs)
+            for idx in idxs:
+                by_value.setdefault(ev(axis[idx // n], axis[idx % n]), []).append(idx)
+    del buckets
     # Classes are disjoint, so tuple order compares least members only.
-    classes.sort()
+    classes = sorted((tuple(m), v) for v, m in by_value.items() if len(m) > 1)
 
     stats = {
         "inputs_evaluated": total,

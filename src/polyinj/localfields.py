@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .poly import MultiPoly, udeg, ueval, utrim
+from .poly import MultiPoly, udeg, utrim
 from .rationals import check_prime, rat_to_str
 
 REAL_DELTA_DEFAULT = Fraction(1, 1024)
@@ -269,8 +269,10 @@ def padic_collision(
             f"no simple root of f({x1}, y) = c mod {p}; try a different delta or prime"
         )
 
+    h_coeffs, h_den = _integer_coeffs(h_exact)
+
     def exact_residual(y: int) -> Fraction:
-        return ueval(h_exact, Fraction(y))
+        return Fraction(_scaled_value(h_coeffs, Fraction(y)), h_den)
 
     y = seed
     trace = []

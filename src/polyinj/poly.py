@@ -465,13 +465,6 @@ def uderiv(u: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return utrim(c * i for i, c in enumerate(u) if i >= 1)
 
 
-def ueval(u: tuple[Fraction, ...], v) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(u):
-        acc = acc * v + c
-    return acc
-
-
 def udivmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")

@@ -290,8 +290,16 @@ def _corrupt(doc: dict, case: str) -> str:
         shards["0"][3] = [1, 2]
         return "shard 0"
     if case == "fingerprint-too-short":
-        shards["0"][0] = [7]
+        # Version 1 held a fingerprint list here; a version-2 slot is an int
+        # or null, so a float, a string and a bool are each refused.
+        shards["0"][0] = 7.0
         return "shard 0"
+    if case == "slot-a-string":
+        shards["2"][1] = "7"
+        return "shard 2"
+    if case == "slot-a-bool":
+        shards["3"][2] = True
+        return "shard 3"
     if case == "shard-id-not-a-number":
         shards["x"] = shards.pop("2")
         return "'x'"
@@ -312,7 +320,7 @@ def _corrupt(doc: dict, case: str) -> str:
 @pytest.mark.parametrize("case", [
     "truncated-shard", "missing-completed", "entry-not-a-pair", "fingerprint-too-short",
     "shard-id-not-a-number", "shard-id-out-of-range", "not-json", "shard-id-leading-zero",
-    "shard-id-non-ascii-digit", "version-1",
+    "shard-id-non-ascii-digit", "version-1", "slot-a-string", "slot-a-bool",
 ])
 def test_corrupt_checkpoint_refused(tmp_path, case):
     poly, space = parse_poly("x^3+y^3"), SearchSpace("integers", 10)
