@@ -16,9 +16,13 @@ height:
            give the candidates the other primes' slots with the same
            kernel, run on their rows only; bucket them
            by full fingerprint, evaluate every member of a multi-member
-           bucket exactly once, in integers over one common denominator,
-           and group the bucket by exact value; each group of two or more
+           bucket exactly once, through ``poly.make_evaluator``, and
+           group the bucket by exact value; each group of two or more
            inputs is one equal-value class.
+
+The exact evaluator, ``compile_xy_terms`` and ``make_evaluator``, lives in
+``poly``; the join calls it through this module's own bindings of those
+names.
 
 Every reported collision is exactly confirmed; fingerprints can only cost
 time, never soundness.  A class of k inputs is held as k indices; its
@@ -57,9 +61,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, groupby
-from math import gcd, lcm
+from math import gcd
 
-from .poly import MultiPoly
+from .poly import MultiPoly, compile_xy_terms, make_evaluator
 from .rationals import FINGERPRINT_PRIMES, check_fingerprint_primes, rat_to_str
 from .rationals import fingerprint as fingerprint_value
 
@@ -114,70 +118,6 @@ def input_axis(space: SearchSpace) -> tuple:
     if space.mode == "integers":
         return tuple(range(-space.height, space.height + 1))
     return _rational_axis(space.height)
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def compile_xy_terms(poly: MultiPoly) -> list[tuple[int, int, int, int]]:
-    """Flatten a polynomial in variables within {x,y} to (ex, ey, num, den) rows."""
-    return [(ex, ey, c.numerator, c.denominator) for ex, ey, c in poly.xy_terms()]
-
-
-def make_evaluator(rows):
-    """Exact evaluator (x, y) -> value from compiled term rows.
-
-    The coefficients are scaled once to integers over their common
-    denominator L.  At x = a/b, y = c/d with Dx, Dy the largest x and y
-    exponents, the sum N of the terms of L*f(x, y)*b^Dx*d^Dy runs in int
-    arithmetic and the value is Fraction(N, L*b^Dx*d^Dy): one
-    normalization per value.  Integer inputs with integer coefficients
-    give the int N itself.
-    """
-    if not rows:
-        return lambda xv, yv: 0
-    max_ex = max(r[0] for r in rows)
-    max_ey = max(r[1] for r in rows)
-    den = lcm(*(d for *_, d in rows))
-    int_rows = [(ex, ey, n * (den // d)) for (ex, ey, n, d) in rows]
-
-    def ev(xv, yv):
-        if type(xv) is int:
-            a, b = xv, 1
-        else:
-            a, b = xv.numerator, xv.denominator
-        if type(yv) is int:
-            c, d = yv, 1
-        else:
-            c, d = yv.numerator, yv.denominator
-        px = [1]
-        for _ in range(max_ex):
-            px.append(px[-1] * a)
-        py = [1]
-        for _ in range(max_ey):
-            py.append(py[-1] * c)
-        # Homogenize: px[e] = a^e * b^(max_ex - e), and b becomes b^max_ex;
-        # likewise py and d.
-        if b != 1:
-            bx = 1
-            for e in range(max_ex - 1, -1, -1):
-                bx *= b
-                px[e] *= bx
-            b = bx
-        if d != 1:
-            dy = 1
-            for e in range(max_ey - 1, -1, -1):
-                dy *= d
-                py[e] *= dy
-            d = dy
-        total = 0
-        for ex, ey, k in int_rows:
-            total += k * px[ex] * py[ey]
-        if den == b == d == 1:
-            return total
-        return Fraction(total, den * b * d)
-
-    return ev
 
 
 # -- sharded phase 1 -------------------------------------------------------------

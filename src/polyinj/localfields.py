@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .poly import MultiPoly, udeg, utrim
+from .poly import MultiPoly, compile_xy_terms, make_evaluator, partial_eval_x
 from .rationals import check_prime, rat_to_str
 
 REAL_DELTA_DEFAULT = Fraction(1, 1024)
@@ -79,18 +79,21 @@ class PadicApprox:
         }
 
 
-def _univariate_in_y(f: MultiPoly, x_value: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients of y -> f(x_value, y), low degree first."""
-    rows = f.xy_terms()
-    coeffs = [Fraction(0)] * (max((ey for _, ey, _ in rows), default=0) + 1)
-    for ex, ey, c in rows:
-        coeffs[ey] += c * x_value**ex
-    return utrim(coeffs)
+def _level_equation(f: MultiPoly, x0, y0, x1) -> tuple[list[int], int]:
+    """g(y) = f(x1, y) - f(x0, y0) as (N, D): N[k] / D is g's y^k coefficient.
 
-
-def _minus_constant(cs, c: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients of the polynomial cs minus the constant c, trimmed."""
-    return utrim([(cs[0] if cs else 0) - c, *cs[1:]])
+    N is ``partial_eval_x``'s trimmed ints with c = f(x0, y0) subtracted
+    over the least common denominator D > 0; it is [] when g is 0.
+    """
+    rows = compile_xy_terms(f)
+    coeffs, den = partial_eval_x(rows, x1)
+    c = Fraction(make_evaluator(rows)(x0, y0))
+    scale = lcm(den, c.denominator)
+    coeffs = [k * (scale // den) for k in coeffs] or [0]
+    coeffs[0] -= c.numerator * (scale // c.denominator)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs, scale
 
 
 def _horner_mod(cs, v: int, m: int) -> int:
@@ -109,13 +112,7 @@ def _screen_partial_y(f: MultiPoly, x0: Fraction, y0: Fraction) -> None:
         )
 
 
-def _integer_coeffs(g) -> tuple[list[int], int]:
-    """(L*g, L): g's coefficients scaled to ints by their least common denominator L."""
-    den = lcm(*(c.denominator for c in g))
-    return [c.numerator * (den // c.denominator) for c in g], den
-
-
-def _scaled_value(coeffs: list[int], y: Fraction) -> int:
+def _scaled_value(coeffs: list[int], y: Fraction | int) -> int:
     """b^deg * G(a/b) for y = a/b in lowest terms, deg = len(coeffs) - 1.
 
     A Horner sum homogenized in (a, b), in int arithmetic.  With b > 0 its
@@ -164,10 +161,10 @@ def real_collision(
     x1 = x0 + delta exactly.  With g(y) = f(x1, y) - f(x0, y0), the grid of
     _sign_change brackets a sign change of g, and the bracket is halved in
     rational arithmetic until the first midpoint with |g(mid)| <= tol; at
-    most _MAX_HALVINGS halvings, then NoCollisionFoundError.  g is scaled
-    once to integer coefficients L*g, so each sign and each tol test at
-    y = a/b is decided on the integer b^deg * L*g(a/b); only the returned
-    point's residual is built as a Fraction.  The exact
+    most _MAX_HALVINGS halvings, then NoCollisionFoundError.  g comes once
+    as integer coefficients D*g (``_level_equation``), so each sign and each
+    tol test at y = a/b is decided on the integer b^deg * D*g(a/b); only the
+    returned point's residual is built as a Fraction.  The exact
     signs of g at y_lo and y_hi prove, by the intermediate value theorem, a
     real y* in [y_lo, y_hi] with f(x1, y*) = f(x0, y0).  Requires df/dy
     nonzero at the base point (checked exactly) and a finite tol >= 0.
@@ -180,22 +177,21 @@ def real_collision(
     if f.total_degree() <= 0:
         raise ValueError("f must be nonconstant")
     x1 = x0 + Fraction(delta)
-    g = _univariate_in_y(f, x1)  # refuses z and w before the screen
+    coeffs, den = _level_equation(f, x0, y0, x1)  # refuses z and w before the screen
     _screen_partial_y(f, x0, y0)
-    c = f.eval_xy(x0, y0)
-    coeffs, den = _integer_coeffs(_minus_constant(g, c))
-    deg = len(coeffs) - 1
+    deg = max(len(coeffs) - 1, 0)  # g = 0 is a root everywhere: b^0 scales it
 
     bracket = _sign_change(coeffs, y0)
     if bracket is None:
         raise NoCollisionFoundError(
-            f"no sign change for f({x1}, y) = {c} within y0 +- 2^32; move the base point"
+            f"no sign change for f({x1}, y) = {f.eval_xy(x0, y0)} within y0 +- 2^32; "
+            "move the base point"
         )
     lo, hi, lo_negative = bracket
     for _ in range(_MAX_HALVINGS):
         mid = (lo + hi) / 2
         v = _scaled_value(coeffs, mid)
-        # |g(mid)| = |v| / (L * b^deg) <= tol, cross-multiplied.
+        # |g(mid)| = |v| / (D * b^deg) <= tol, cross-multiplied.
         scale = den * mid.denominator**deg
         if abs(v) * tol_q.denominator <= tol_q.numerator * scale:
             residual = float(Fraction(abs(v), scale))
@@ -209,11 +205,8 @@ def real_collision(
     )
 
 
-def _valuation(value: Fraction, p: int) -> int | None:
-    """p-adic valuation of the numerator (the value must be p-integral)."""
-    num = value.numerator
-    if value.denominator % p == 0:
-        raise ValueError("value is not p-integral")
+def _valuation(num: int, p: int) -> int | None:
+    """p-adic valuation of the int num; None for 0."""
     if num == 0:
         return None
     v = 0
@@ -250,13 +243,15 @@ def padic_collision(
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not {p}-integral")
 
-    c_val = f.eval_xy(Fraction(x0), Fraction(y0))
+    # h_coeffs / h_den is g = f(x1, y) - c.  h_den is prime to p, since f's
+    # coefficients are p-integral and x0, y0, x1 are ints, so h_coeffs has
+    # g's valuations, and times h_den^-1 mod p^k g's residues.
     x1 = x0 + delta
-    h_exact = _univariate_in_y(f, Fraction(x1))
-    h_exact = _minus_constant(h_exact, c_val)
-    if udeg(h_exact) < 1:
+    h_coeffs, h_den = _level_equation(f, x0, y0, x1)
+    if len(h_coeffs) < 2:
         raise HenselInapplicableError("f(x1, y) - c does not depend on y (df/dy = 0)")
-    h_mod = [cf.numerator * pow(cf.denominator, -1, pk) % pk for cf in h_exact]
+    inv = pow(h_den, -1, pk)
+    h_mod = [cf * inv % pk for cf in h_coeffs]
     dh_mod = [(i * cf) % pk for i, cf in enumerate(h_mod)][1:]
 
     seed = None
@@ -269,21 +264,16 @@ def padic_collision(
             f"no simple root of f({x1}, y) = c mod {p}; try a different delta or prime"
         )
 
-    h_coeffs, h_den = _integer_coeffs(h_exact)
-
-    def exact_residual(y: int) -> Fraction:
-        return Fraction(_scaled_value(h_coeffs, Fraction(y)), h_den)
-
     y = seed
     trace = []
-    v = _valuation(exact_residual(y), p)
+    v = _valuation(_scaled_value(h_coeffs, y), p)
     trace.append(precision if v is None else min(v, precision))
     for _ in range(64):
         if v is None or v >= precision:
             break
         d = _horner_mod(dh_mod, y, pk)
         y = (y - _horner_mod(h_mod, y, pk) * pow(d, -1, pk)) % pk
-        v = _valuation(exact_residual(y), p)
+        v = _valuation(_scaled_value(h_coeffs, y), p)
         trace.append(precision if v is None else min(v, precision))
     if not (v is None or v >= precision):
         raise HenselInapplicableError(
@@ -294,7 +284,7 @@ def padic_collision(
     y = y % pk
     best_y, best_v = y, v
     alt = y - pk
-    v_alt = _valuation(exact_residual(alt), p)
+    v_alt = _valuation(_scaled_value(h_coeffs, alt), p)
     if v_alt is None or (best_v is not None and v_alt > best_v):
         best_y, best_v = alt, v_alt
     return PadicApprox(

@@ -14,6 +14,12 @@ over exponent vectors in the fixed (x, y, z, w) slots.  MultiPoly's ``+``,
 its constructor drops the slots that no term uses.  Other modules read a
 polynomial in x and y through ``MultiPoly.xy_terms``.
 
+One exact evaluator: ``make_evaluator`` sums a polynomial in x and y, at
+one point, in ints over one common denominator (the join's confirmation
+and ``MultiPoly.eval_xy`` use it), and ``partial_eval_x`` applies the same
+row scaling and homogenization to x alone, giving f(x1, y) as integer
+coefficients over one denominator (the local-field demos use it).
+
 Expansion cost: ``MultiPoly.substitute``, which builds the twisted forms,
 G and f of the construction, works in plain ints over one common
 denominator and adds every product into one dict.  Its cost is linear in
@@ -208,40 +214,14 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a point with one coordinate per variable."""
-        pt = tuple(point)
-        if len(pt) != len(self.vars):
-            raise ValueError(
-                f"arity mismatch: polynomial in {self.vars} evaluated at {len(pt)} coordinates"
-            )
-        pt = tuple(_as_fraction(c) for c in pt)
-        maxes = [0] * len(pt)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                maxes[i] = max(maxes[i], k)
-        pows = []
-        for v, m in zip(pt, maxes):
-            row = [Fraction(1)]
-            for _ in range(m):
-                row.append(row[-1] * v)
-            pows.append(row)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for i, k in enumerate(e):
-                if k:
-                    t = t * pows[i][k]
-            total += t
-        return total
-
     def eval_xy(self, xv, yv) -> Fraction:
-        """Evaluate a polynomial in variables within {x, y} at (xv, yv)."""
-        coords = {"x": xv, "y": yv}
-        try:
-            return self.evaluate(tuple(coords[v] for v in self.vars))
-        except KeyError:
-            raise ValueError(f"polynomial has variables {self.vars}, expected subset of (x, y)")
+        """Exact value at (xv, yv) of a polynomial in variables within {x, y}.
+
+        Runs ``make_evaluator``'s kernel.  The coordinates must be exact
+        (int, Fraction or a "num/den" str); a z or w raises ValueError.
+        """
+        ev = make_evaluator(compile_xy_terms(self))
+        return Fraction(ev(_as_fraction(xv), _as_fraction(yv)))
 
     def xy_terms(self) -> list[tuple[int, int, Fraction]]:
         """(ex, ey, coef) rows in serialized order; ValueError if z or w occurs."""
@@ -444,7 +424,106 @@ def _coef_str(c: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers over Fraction, used by separability and local root work.
+# The exact evaluator of a polynomial in x and y, over compiled term rows.
+# ---------------------------------------------------------------------------
+
+
+def compile_xy_terms(poly: MultiPoly) -> list[tuple[int, int, int, int]]:
+    """Flatten a polynomial in variables within {x,y} to (ex, ey, num, den) rows."""
+    return [(ex, ey, c.numerator, c.denominator) for ex, ey, c in poly.xy_terms()]
+
+
+def _int_rows(rows) -> tuple[int, list[tuple[int, int, int]]]:
+    """(L, [(ex, ey, L * num / den)]): the rows scaled to ints by their common denominator L."""
+    den = lcm(*(d for *_, d in rows))
+    return den, [(ex, ey, n * (den // d)) for (ex, ey, n, d) in rows]
+
+
+def make_evaluator(rows):
+    """Exact evaluator (x, y) -> value from compiled term rows.
+
+    The coefficients are scaled once to integers over their common
+    denominator L.  At x = a/b, y = c/d with Dx, Dy the largest x and y
+    exponents, the sum N of the terms of L*f(x, y)*b^Dx*d^Dy runs in int
+    arithmetic and the value is Fraction(N, L*b^Dx*d^Dy): one
+    normalization per value.  Integer inputs with integer coefficients
+    give the int N itself.
+    """
+    if not rows:
+        return lambda xv, yv: 0
+    max_ex = max(r[0] for r in rows)
+    max_ey = max(r[1] for r in rows)
+    den, int_rows = _int_rows(rows)
+
+    def ev(xv, yv):
+        if type(xv) is int:
+            a, b = xv, 1
+        else:
+            a, b = xv.numerator, xv.denominator
+        if type(yv) is int:
+            c, d = yv, 1
+        else:
+            c, d = yv.numerator, yv.denominator
+        px = [1]
+        for _ in range(max_ex):
+            px.append(px[-1] * a)
+        py = [1]
+        for _ in range(max_ey):
+            py.append(py[-1] * c)
+        # Homogenize: px[e] = a^e * b^(max_ex - e), and b becomes b^max_ex;
+        # likewise py and d.
+        if b != 1:
+            bx = 1
+            for e in range(max_ex - 1, -1, -1):
+                bx *= b
+                px[e] *= bx
+            b = bx
+        if d != 1:
+            dy = 1
+            for e in range(max_ey - 1, -1, -1):
+                dy *= d
+                py[e] *= dy
+            d = dy
+        total = 0
+        for ex, ey, k in int_rows:
+            total += k * px[ex] * py[ey]
+        if den == b == d == 1:
+            return total
+        return Fraction(total, den * b * d)
+
+    return ev
+
+
+def partial_eval_x(rows, xv) -> tuple[list[int], int]:
+    """f(xv, y) from compiled term rows, as (N, D): N[k] / D is the coefficient of y^k.
+
+    The homogenization of ``make_evaluator``'s closure, applied to x alone:
+    at xv = a/b with Dx the largest x exponent, N[k] sums the terms
+    L*coef * a^ex * b^(Dx - ex) of y-degree k in ints, and D = L * b^Dx > 0.
+    N is trimmed of high-degree zeros, so it is [] when f(xv, y) is 0.
+    """
+    if not rows:
+        return [], 1
+    max_ex = max(r[0] for r in rows)
+    den, int_rows = _int_rows(rows)
+    a, b = xv.numerator, xv.denominator
+    px = [1]
+    for _ in range(max_ex):
+        px.append(px[-1] * a)
+    bx = 1
+    for e in range(max_ex - 1, -1, -1):
+        bx *= b
+        px[e] *= bx
+    coeffs = [0] * (max(r[1] for r in rows) + 1)
+    for ex, ey, k in int_rows:
+        coeffs[ey] += k * px[ex]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs, den * bx
+
+
+# ---------------------------------------------------------------------------
+# Univariate helpers over Fraction, used by the separability test.
 # Representation: tuple of coefficients, low degree first, trailing zeros
 # trimmed; the zero polynomial is ().
 # ---------------------------------------------------------------------------
@@ -533,20 +612,6 @@ class BinaryForm:
         d = self.degree
         terms = {(d - i, i): c for i, c in enumerate(self.coeffs) if c != 0}
         return MultiPoly(("x", "y"), terms)
-
-    def evaluate(self, xv, yv) -> Fraction:
-        xv, yv = _as_fraction(xv), _as_fraction(yv)
-        d = self.degree
-        xp = [Fraction(1)]
-        yp = [Fraction(1)]
-        for _ in range(d):
-            xp.append(xp[-1] * xv)
-            yp.append(yp[-1] * yv)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                total += c * xp[d - i] * yp[i]
-        return total
 
     def y_multiplicity(self) -> int:
         """Largest m with y^m dividing the form (order of the root at infinity)."""

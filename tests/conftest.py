@@ -2,8 +2,9 @@
 
 The surface oracle is a quadruple loop with direct exact-value comparison;
 the collision oracle is literal all-pairs; separability gets a Sylvester
-resultant.  None of them touch fingerprints, buckets, or gcds from the
-package internals.
+resultant.  Values come from ``value_at``, a term-by-term Fraction sum, not
+from the package's evaluator.  None of them touch fingerprints, buckets,
+or gcds from the package internals.
 """
 
 from __future__ import annotations
@@ -23,10 +24,23 @@ settings.register_profile("polyinj", deadline=None, derandomize=True)
 settings.load_profile("polyinj")
 
 
+def value_at(poly: MultiPoly | BinaryForm, **point) -> Fraction:
+    """poly at point (one exact value per variable of poly), summed term by term."""
+    if isinstance(poly, BinaryForm):
+        poly = poly.to_multipoly()
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        for v, k in zip(poly.vars, exp):
+            c *= point[v] ** k
+        total += c
+    return total
+
+
 def brute_surface_points(form: BinaryForm, height: int) -> set[ProjPoint]:
     """Quadruple-loop brute force over the box, canonicalized and deduped."""
     rng_ = range(-height, height + 1)
-    vals = {(x, y): form.evaluate(x, y) for x in rng_ for y in rng_}
+    poly = form.to_multipoly()
+    vals = {(x, y): value_at(poly, x=x, y=y) for x in rng_ for y in rng_}
     pts = set()
     for x in rng_:
         for y in rng_:
@@ -44,7 +58,7 @@ def allpairs_collision_pairs(poly: MultiPoly, space: SearchSpace) -> list[tuple[
     """Literal all-pairs collision oracle returning index pairs (i < j)."""
     axis = input_axis(space)
     n = len(axis)
-    vals = [poly.eval_xy(axis[i // n], axis[i % n]) for i in range(n * n)]
+    vals = [value_at(poly, x=axis[i // n], y=axis[i % n]) for i in range(n * n)]
     out = []
     for i in range(n * n):
         vi = vals[i]

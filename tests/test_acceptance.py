@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import brute_surface_points, oracle_is_separable, random_form
+from conftest import brute_surface_points, oracle_is_separable, random_form, value_at
 from polyinj.collide import (
     SearchInterrupted,
     SearchSpace,
@@ -116,10 +116,10 @@ def test_criterion_05_trivial_line_containment():
         for _ in range(100):
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             y = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            vxy = f.evaluate(x, y)
-            assert vxy == f.evaluate(x, y)  # diagonal point (x:y:x:y)
+            vxy = value_at(f, x=x, y=y)
+            assert vxy == value_at(f, x=x, y=y)  # diagonal point (x:y:x:y)
             if d % 2 == 0:
-                assert vxy == f.evaluate(-x, -y)  # antidiagonal (x:y:-x:-y)
+                assert vxy == value_at(f, x=-x, y=-y)  # antidiagonal (x:y:-x:-y)
     _report(5, "trivial lines lie on the surface for 100 forms x 100 points",
             time.perf_counter() - t0, 10)
 

@@ -9,7 +9,9 @@ from click.testing import CliRunner
 
 import polyinj
 from polyinj.cli import main
-from polyinj.parser import MAX_NESTING
+from polyinj.parser import MAX_NESTING, parse_poly
+from polyinj.pipeline import build_injection
+from polyinj.poly import BinaryForm
 
 
 def run(args, **kw):
@@ -211,6 +213,30 @@ def test_collide_out_bytes_pinned(tmp_path, poly, mode, height, digest):
 def test_ffield_and_local_out_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "out.json"
     res = run([*args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def built_f_file(tmp_path_factory):
+    """f of build_injection(x^3+y^3, H=10, seed 1), whose trace test_pipeline pins, as JSON."""
+    trace = build_injection(BinaryForm.from_multipoly(parse_poly("x^3+y^3")),
+                            height_bound=10, rng_seed=1)
+    path = tmp_path_factory.mktemp("built") / "f.json"
+    path.write_text(json.dumps(trace.f_poly.to_json_dict()))
+    return path
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--real", "--at", "1,1"],
+     "b0be461f9e48d6697e760414dc495720cb887c8ebbb969f79c05921ec62064a1"),
+    (["--padic", "11", "--prec", "8", "--at", "1,1"],
+     "3b84beab48116c5f6bbadd7e6ee07162dcfd4516fa85c9809dc6fc284e2937cf"),
+])
+def test_local_on_built_f_out_bytes_pinned(tmp_path, built_f_file, args, digest):
+    # The local demos on the paper's own object, read through @file.
+    out = tmp_path / "out.json"
+    res = run(["local", "--poly", f"@{built_f_file}", *args, "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import allpairs_collision_pairs, random_multipoly
+from conftest import allpairs_collision_pairs, brute_surface_points, random_multipoly
 from polyinj import collide
 from polyinj.collide import (
     SearchInterrupted,
@@ -18,13 +18,13 @@ from polyinj.collide import (
     _phase1_shard,
     _shard_ranges,
     _write_checkpoint,
-    compile_xy_terms,
     enumerate_inputs,
     find_collisions,
     input_axis,
     naive_collisions,
 )
 from polyinj.parser import parse_poly
+from polyinj.poly import BinaryForm, compile_xy_terms
 from polyinj.rationals import FINGERPRINT_PRIMES, fingerprint
 
 
@@ -95,11 +95,25 @@ def test_naive_oracle_evaluates_without_the_engine(monkeypatch):
     cases = [(parse_poly("x^3+y^3"), SearchSpace("integers", 6), int),
              (parse_poly("(1/5)*x^2+(1/7)*y+(1/3)*x*y"), SearchSpace("rationals", 4), Fraction)]
     expected = [naive_collisions(poly, space).classes for poly, space, _ in cases]
-    monkeypatch.setattr(collide, "make_evaluator", lambda rows: lambda xv, yv: 0)
+    # The all-pairs and surface oracles sum on their own too, although
+    # MultiPoly.eval_xy runs the engine's evaluator.
+    cube = cases[0][0]
+    oracles = [
+        lambda: allpairs_collision_pairs(cube, SearchSpace("integers", 3)),
+        lambda: allpairs_collision_pairs(parse_poly("x*y"), SearchSpace("rationals", 2)),
+        lambda: brute_surface_points(BinaryForm.from_multipoly(cube), 4),
+    ]
+    oracle_results = [oracle() for oracle in oracles]
+    zero = lambda rows: lambda xv, yv: 0
+    monkeypatch.setattr(collide, "make_evaluator", zero)
+    monkeypatch.setattr("polyinj.poly.make_evaluator", zero)
     for (poly, space, kind), classes in zip(cases, expected):
         assert classes and {type(v) for _, v in classes} == {kind}
         assert naive_collisions(poly, space).classes == classes
         assert find_collisions(poly, space).classes != classes
+    assert cube.eval_xy(1, 1) == 0
+    assert all(oracle_results)
+    assert [oracle() for oracle in oracles] == oracle_results
 
 
 def test_engine_matches_naive_and_allpairs_small():

@@ -1,18 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import value_at
 from polyinj.localfields import (
     DerivativeVanishesError,
     HenselInapplicableError,
     NoCollisionFoundError,
     REAL_DELTA_DEFAULT,
+    _level_equation,
     padic_collision,
     real_collision,
 )
 from polyinj.parser import parse_poly
-from polyinj.poly import MultiPoly
+from polyinj.poly import MultiPoly, compile_xy_terms, partial_eval_x
 
 
 def bisect_oracle(fn, lo, hi, iters=200):
@@ -86,11 +88,11 @@ def test_real_rejects_constant_and_bad_tol():
 
 
 def assert_real_certificate(f, x0, y0, delta, tol, r):
-    """The report's bracket, checked with MultiPoly.eval_xy alone."""
+    """The report's bracket, checked with the term-by-term sum value_at alone."""
     x1 = Fraction(x0) + Fraction(delta)
-    c = f.eval_xy(Fraction(x0), Fraction(y0))
-    g_lo = f.eval_xy(x1, r.y_lo) - c
-    g_hi = f.eval_xy(x1, r.y_hi) - c
+    c = value_at(f, x=Fraction(x0), y=Fraction(y0))
+    g_lo = value_at(f, x=x1, y=r.y_lo) - c
+    g_hi = value_at(f, x=x1, y=r.y_hi) - c
     assert r.x == float(x1)
     assert r.y_lo <= r.y_hi
     assert float(r.y_lo) <= r.y <= float(r.y_hi)
@@ -128,6 +130,52 @@ def test_real_tol_below_double_precision():
     r = real_collision(f, 1, 1, tol)
     assert_real_certificate(f, 1, 1, REAL_DELTA_DEFAULT, tol, r)
     assert 0 < r.y_hi - r.y_lo < Fraction(1, 2**190)
+
+
+def test_real_g_identically_zero():
+    # f(1, y) = 0 = f(0, 0) for every y, though df/dy = -1 at the base point:
+    # the first grid point y0 - 1 is an exact root.
+    r = real_collision(parse_poly("(x - 1)*y"), 0, 0, 0.0, delta=Fraction(1))
+    assert r.y_lo == r.y_hi == -1 and r.residual == 0.0
+
+
+# Denominators that share factors, so x1's denominator meets the coefficients'.
+_shared_q = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
+
+
+@settings(max_examples=300)
+@example(terms={(3, 0): Fraction(1, 6), (0, 0): Fraction(-2)}, x1=Fraction(5, 4), no_y=True,
+         base=None)
+@example(terms={}, x1=Fraction(1, 3), no_y=False, base=(Fraction(2), Fraction(1, 2)))
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), _shared_q, max_size=8),
+    _shared_q,
+    st.booleans(),
+    st.none() | st.tuples(_shared_q, _shared_q),
+)
+def test_partial_eval_x_matches_term_sums(terms, x1, no_y, base):
+    # no_y drops y from f; base None puts the base point at x1, so then
+    # g = f(x1, y) - f(x1, 0) is exactly 0 whenever f has no y.
+    if no_y:
+        terms = {(ex, 0): c for (ex, _), c in terms.items()}
+    terms = {e: c for e, c in terms.items() if c}
+    x0, y0 = base or (x1, Fraction(0))
+    f = MultiPoly(("x", "y"), terms)
+    top = max((ey for _, ey in terms), default=0)
+    want = [value_at(MultiPoly(("x",), {(ex,): c for (ex, ey), c in terms.items() if ey == k}),
+                     x=x1)
+            for k in range(top + 1)]
+    c = value_at(f, x=x0, y=y0)
+    for (coeffs, den), minus in ((partial_eval_x(compile_xy_terms(f), x1), 0),
+                                 (_level_equation(f, x0, y0, x1), c)):
+        cs = [want[0] - minus, *want[1:]]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        assert den > 0
+        assert not coeffs or coeffs[-1] != 0  # trimmed
+        assert [Fraction(n, den) for n in coeffs] == cs
+    if no_y and base is None:
+        assert _level_equation(f, x0, y0, x1)[0] == []  # g is exactly 0
 
 
 def test_real_exact_root_on_grid_and_cap():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multipoly
+from conftest import random_multipoly, value_at
 from polyinj.parser import (
     MAX_NESTING,
     Add,
@@ -193,7 +193,7 @@ def test_lower_matches_ast_oracle():
         poly = parse_poly(text)
         for _ in range(3):
             pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in "xyzw"}
-            assert poly.evaluate(tuple(pt[v] for v in poly.vars)) == _ast_value(ast, pt), text
+            assert value_at(poly, **pt) == _ast_value(ast, pt), text
         results.add("zero" if poly.is_zero() else "constant" if not poly.vars else "other")
     assert results == {"zero", "constant", "other"}
 

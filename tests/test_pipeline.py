@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_form, random_rational
+from conftest import random_form, random_rational, value_at
 from polyinj.parser import parse_poly
 from polyinj.pipeline import build_injection, choose_prime, make_G, make_f, twist
 from polyinj.poly import BinaryForm
@@ -56,8 +56,8 @@ def test_twist_evaluates_as_composite():
     tw = twist(f, m, 5)
     for _ in range(10):
         x, y = random_rational(rng, 7), random_rational(rng, 7)
-        assert tw.evaluate(x, y) == f.evaluate(
-            2 * x**5 - y**5, x**5 + 3 * y**5
+        assert value_at(tw, x=x, y=y) == value_at(
+            f, x=2 * x**5 - y**5, y=x**5 + 3 * y**5
         )
 
 
@@ -108,7 +108,7 @@ def test_make_f_with_fractional_a_b_matches_evaluation():
     for _ in range(10):
         pt = [random_rational(rng, 9) for _ in range(4)]
         images = [a * v**3 + b for v in pt]
-        assert f4.evaluate(pt) == g4.evaluate(images)
+        assert value_at(f4, **dict(zip("xyzw", pt))) == value_at(g4, **dict(zip("xyzw", images)))
 
 
 def test_pth_power_map_injective_on_samples():
@@ -124,7 +124,7 @@ def test_pth_power_map_injective_on_samples():
 def test_twist_accepts_rational_matrix():
     tw = twist(form("x^2 + y^2"), ((Fraction(1, 2), 0), (0, 1)), 5)
     assert tw.degree == 10
-    assert tw.evaluate(2, 1) == form("x^2 + y^2").evaluate(Fraction(1, 2) * 2**5, 1)
+    assert value_at(tw, x=2, y=1) == value_at(form("x^2 + y^2"), x=Fraction(1, 2) * 2**5, y=1)
 
 
 def test_candidate_f_collision_free_at_trace_height():
@@ -190,8 +190,8 @@ def test_trivial_line_persists_under_twist():
     tw = twist(f, ((1, 1), (2, -1)), 5)
     for _ in range(10):
         x, y = rng.randint(-9, 9), rng.randint(-9, 9)
-        assert tw.evaluate(x, y) == tw.evaluate(x, y)
-        assert tw.evaluate(x, y) == tw.evaluate(-x, -y)
+        assert value_at(tw, x=x, y=y) == value_at(tw, x=x, y=y)
+        assert value_at(tw, x=x, y=y) == value_at(tw, x=-x, y=-y)
 
 
 def test_ab_rejection_avoids_residual_coordinates():

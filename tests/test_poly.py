@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_is_separable, random_form, random_multipoly, random_rational
+from conftest import oracle_is_separable, random_form, random_multipoly, random_rational, value_at
 from polyinj.collide import SearchSpace, find_collisions
 from polyinj.localfields import padic_collision, real_collision
 from polyinj.parser import parse_poly
@@ -20,12 +20,11 @@ def test_eval_examples():
     assert p.eval_xy(1, 1) == 4
     assert p.eval_xy(2, 1) == 131
     assert parse_poly("x^3 + y^3").eval_xy(Fraction(1, 2), Fraction(1, 2)) == Fraction(1, 4)
-
-
-def test_eval_arity_mismatch():
-    p = parse_poly("x + y")
-    with pytest.raises(ValueError):
-        p.evaluate((1,))
+    # Exact coordinates only: a "num/den" string is read, a float refused.
+    assert p.eval_xy("1/2", 1) == Fraction(385, 128)
+    assert type(p.eval_xy(1, 1)) is Fraction
+    with pytest.raises(TypeError):
+        p.eval_xy(0.5, 1)
 
 
 def test_substitute_examples():
@@ -91,7 +90,7 @@ def test_homogeneity_scaling_property():
         f = random_form(rng, d)
         lam = random_rational(rng, 9)
         x, y = random_rational(rng, 9), random_rational(rng, 9)
-        assert f.evaluate(lam * x, lam * y) == lam**d * f.evaluate(x, y)
+        assert value_at(f, x=lam * x, y=lam * y) == lam**d * value_at(f, x=x, y=y)
 
 
 def test_substitute_is_ring_homomorphism_on_samples():
@@ -110,12 +109,8 @@ def test_substitute_is_ring_homomorphism_on_samples():
         prod_s = (p * q).substitute({v: full[v] for v in (p * q).vars})
         for _ in range(10):
             pt = {v: random_rational(rng, 5) for v in ("x", "y", "z", "w")}
-
-            def at(poly):
-                return poly.evaluate(tuple(pt[v] for v in poly.vars))
-
-            assert at(sum_s) == at(ps) + at(qs)
-            assert at(prod_s) == at(ps) * at(qs)
+            assert value_at(sum_s, **pt) == value_at(ps, **pt) + value_at(qs, **pt)
+            assert value_at(prod_s, **pt) == value_at(ps, **pt) * value_at(qs, **pt)
 
 
 def test_ring_operations_match_evaluation_oracle():
@@ -142,8 +137,8 @@ def test_ring_operations_match_evaluation_oracle():
         results = (p + q, p - q, p * q, -p)
         for _ in range(3):
             pt = {v: random_rational(rng, 7) for v in variables}
-            pv, qv = _value_at(p, pt), _value_at(q, pt)
-            assert [_value_at(r, pt) for r in results] == [pv + qv, pv - qv, pv * qv, -pv]
+            pv, qv = value_at(p, **pt), value_at(q, **pt)
+            assert [value_at(r, **pt) for r in results] == [pv + qv, pv - qv, pv * qv, -pv]
     # Disjoint variables multiply into one term per pair of terms.
     xz = MultiPoly(("x", "z"), {(1, 0): 2, (0, 1): 3})
     yw = MultiPoly(("y", "w"), {(2, 0): 1, (0, 1): -1})
@@ -165,13 +160,10 @@ def test_xy_terms_and_its_callers_refuse_z_and_w():
             lambda: real_collision(poly, 1, 1, 1e-9),
             lambda: padic_collision(poly, 5, 4, (1, 1)),
             lambda: BinaryForm.from_multipoly(poly),
+            lambda: poly.eval_xy(1, 1),
         ):
             with pytest.raises(ValueError, match=r"\(x, y\)"):
                 refuse()
-
-
-def _value_at(poly: MultiPoly, point: dict) -> Fraction:
-    return poly.evaluate(tuple(point[v] for v in poly.vars))
 
 
 def _random_image(rng: random.Random) -> MultiPoly:
@@ -200,8 +192,8 @@ def test_substitute_matches_evaluation_oracle():
             composed = g.substitute(mapping)
             for _ in range(3):
                 pt = {v: random_rational(rng, 7) for v in variables}
-                values = {v: _value_at(m, pt) for v, m in mapping.items()}
-                assert _value_at(composed, pt) == _value_at(g, values)
+                values = {v: value_at(m, **pt) for v, m in mapping.items()}
+                assert value_at(composed, **pt) == value_at(g, **values)
 
 
 def test_substitute_edge_images():
@@ -229,7 +221,7 @@ def test_binary_form_multipoly_round_trip():
     f = form("x^3 - 2*x*y^2 + 5*y^3")
     assert f.degree == 3
     assert BinaryForm.from_multipoly(f.to_multipoly()) == f
-    assert f.evaluate(2, 3) == f.to_multipoly().eval_xy(2, 3)
+    assert value_at(f, x=2, y=3) == f.to_multipoly().eval_xy(2, 3)
 
 
 def test_from_multipoly_rejects_inhomogeneous():

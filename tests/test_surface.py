@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_surface_points, random_form
+from conftest import brute_surface_points, random_form, value_at
 from polyinj.parser import parse_poly
 from polyinj.poly import BinaryForm
 from polyinj.surface import ProjPoint, classify, is_trivial_point, scan_surface
@@ -49,7 +49,7 @@ def test_scan_taxicab():
     f = form("x^3 + y^3")
     for p in ps.all_points():
         x, y, z, w = p.coords
-        assert f.evaluate(x, y) == f.evaluate(z, w)
+        assert value_at(f, x=x, y=y) == value_at(f, x=z, y=w)
 
 
 def test_scan_matches_brute_force_taxicab():
@@ -97,9 +97,9 @@ def test_trivial_line_containment():
         d = rng.randint(2, 7)
         f = random_form(rng, d)
         x, y = rng.randint(-50, 50), rng.randint(-50, 50)
-        assert f.evaluate(x, y) == f.evaluate(x, y)  # diagonal tautology
+        assert value_at(f, x=x, y=y) == value_at(f, x=x, y=y)  # diagonal tautology
         if d % 2 == 0:
-            assert f.evaluate(x, y) == f.evaluate(-x, -y)
+            assert value_at(f, x=x, y=y) == value_at(f, x=-x, y=-y)
 
 
 def test_scan_deterministic_across_shards_workers():
