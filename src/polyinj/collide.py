@@ -18,7 +18,10 @@ height:
            by full fingerprint, evaluate every member of a multi-member
            bucket exactly once, through ``poly.make_evaluator``, and
            group the bucket by exact value; each group of two or more
-           inputs is one equal-value class.
+           inputs is one equal-value class.  On an integer box with
+           integer coefficients where 2 * sum |c| * H^(ex+ey) < q, the
+           centred slot is the value, so the candidates' slot groups are
+           the classes and no other prime or exact value is computed.
 
 The exact evaluator, ``compile_xy_terms`` and ``make_evaluator``, lives in
 ``poly``; the join calls it through this module's own bindings of those
@@ -91,6 +94,8 @@ class SearchSpace:
     def __post_init__(self):
         if self.mode not in ("integers", "rationals"):
             raise ValueError(f"mode must be 'integers' or 'rationals', got {self.mode!r}")
+        if type(self.height) is not int:  # a bool is an int, and is refused too
+            raise ValueError(f"height bound must be an int, got {self.height!r}")
         if self.height < 1:
             raise ValueError("height bound must be >= 1")
 
@@ -178,16 +183,17 @@ def _prime_slots(rows, axis, q, spans):
     residue equals the slot of the exact value.  Any other input is
     evaluated exactly and fingerprinted as such.
     """
-    ev = make_evaluator(rows)
-
     def exact(i, j):
         return fingerprint_value(ev(axis[i], axis[j]), (q,))[0]
 
+    # The exact evaluator is built only where some input needs it.
     if any(gcd(d, q) != 1 for (_, _, _, d) in rows):
+        ev = make_evaluator(rows)
         for i, lo, hi in spans:
             yield [exact(i, j) for j in range(lo, hi)]
         return
     inexact = {j for j, v in enumerate(axis) if gcd(v.denominator, q) != 1}
+    ev = make_evaluator(rows) if inexact else None
     table = _residue_table(rows, axis, inexact, q)
     for i, lo, hi in spans:
         if i in inexact:
@@ -455,13 +461,16 @@ def find_collisions(
     """Complete collision search over the space via the fingerprint join.
 
     The report's classes are exactly the sets of two or more inputs with
-    one exact value.  Shards run one after another in this process; a
-    shard count outside [1, inputs] raises ValueError, and so does any
-    ``workers`` but 1, and so does ``resume`` without a
-    ``checkpoint_path``.  ``stop_after_shards`` aborts after that many newly
-    completed shards (checkpoint intact) and exists so interruption can be
-    tested deterministically; a value below 1 raises ValueError before any
-    work.
+    one exact value.  On an integer box with integer coefficients and
+    2 * sum |c| * H^(ex+ey) below ``primes[0]``, the centred first-prime
+    slot is the exact value, so the candidates' slot groups are the classes
+    and every candidate counts as fingerprinted and confirmed.  Shards run
+    one after another in this process; a shard count outside [1, inputs]
+    raises ValueError, and so does any ``workers`` but 1, and so does
+    ``resume`` without a ``checkpoint_path``.  ``stop_after_shards`` aborts
+    after that many newly completed shards (checkpoint intact) and exists
+    so interruption can be tested deterministically; a value below 1
+    raises ValueError before any work.
     """
     t0 = time.perf_counter()
     if resume and not checkpoint_path:
@@ -510,25 +519,36 @@ def find_collisions(
         candidates = list(compress(range(total), map(repeated.__contains__, slots)))
         del repeated
 
-    # Bucket the candidates by full fingerprint, in ascending index order.
-    buckets: dict[tuple, list[int]] = {}
-    for fp, idx in zip(_candidate_fingerprints(rows, axis, primes, slots, candidates),
-                       candidates):
-        buckets.setdefault(fp, []).append(idx)
-    del slots, candidates
-
-    # Every member of a shared bucket is evaluated exactly once and grouped
-    # by value.  Equal values have equal fingerprints, so each group lies in
-    # one bucket and lists its members in ascending order.
-    ev = make_evaluator(rows)
-    confirmed = 0
+    q = primes[0]
     by_value: dict = {}
-    for idxs in buckets.values():
-        if len(idxs) > 1:
-            confirmed += len(idxs)
-            for idx in idxs:
-                by_value.setdefault(ev(axis[idx // n], axis[idx % n]), []).append(idx)
-    del buckets
+    if (space.mode == "integers" and all(den == 1 for *_, den in rows)
+            and 2 * sum(abs(num) * space.height ** (ex + ey) for ex, ey, num, _ in rows) < q):
+        # Exact by bound: every value on the box has |v| <= B < q/2, so the
+        # centred slot is the value, equal slots are equal values, and the
+        # candidates' slot groups, in ascending index order, are the classes.
+        for idx in candidates:
+            by_value.setdefault(slots[idx], []).append(idx)
+        del slots
+        by_value = {s if 2 * s < q else s - q: m for s, m in by_value.items()}
+        confirmed = len(candidates)
+    else:
+        # Bucket the candidates by full fingerprint, in ascending index order.
+        buckets: dict[tuple, list[int]] = {}
+        for fp, idx in zip(_candidate_fingerprints(rows, axis, primes, slots, candidates),
+                           candidates):
+            buckets.setdefault(fp, []).append(idx)
+        del slots, candidates
+        # Every member of a shared bucket is evaluated exactly once and grouped
+        # by value.  Equal values have equal fingerprints, so each group lies in
+        # one bucket and lists its members in ascending order.
+        ev = make_evaluator(rows)
+        confirmed = 0
+        for idxs in buckets.values():
+            if len(idxs) > 1:
+                confirmed += len(idxs)
+                for idx in idxs:
+                    by_value.setdefault(ev(axis[idx // n], axis[idx % n]), []).append(idx)
+        del buckets
     # Classes are disjoint, so tuple order compares least members only.
     classes = sorted((tuple(m), v) for v, m in by_value.items() if len(m) > 1)
 

@@ -9,8 +9,8 @@ infinitely many points.  This module makes that concrete twice over:
   * padic_collision nudges in x and Hensel-lifts a simple root mod p of
     the resulting univariate equation up to precision p^k.
 
-Everything is decided exactly: the derivative screen evaluates the formal
-partial in rational arithmetic, the real bracket's signs are exact, and the
+Everything is decided exactly: the derivative screen sums df/dy's terms,
+taken from f's, exactly; the real bracket's signs are exact, and the
 p-adic residuals are exact integers checked by valuation.  Floats appear
 only as the real report's rounded x, y and residual.
 """
@@ -105,8 +105,9 @@ def _horner_mod(cs, v: int, m: int) -> int:
 
 
 def _screen_partial_y(f: MultiPoly, x0: Fraction, y0: Fraction) -> None:
-    dfdy = f.partial("y")
-    if dfdy.is_zero() or dfdy.eval_xy(x0, y0) == 0:
+    # df/dy's rows, taken from f's: no rows means df/dy = 0.
+    rows = [(ex, ey - 1, ey * num, den) for ex, ey, num, den in compile_xy_terms(f) if ey]
+    if not rows or make_evaluator(rows)(x0, y0) == 0:
         raise DerivativeVanishesError(
             f"df/dy vanishes at ({x0}, {y0}); pick a different base point"
         )

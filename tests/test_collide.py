@@ -24,8 +24,8 @@ from polyinj.collide import (
     naive_collisions,
 )
 from polyinj.parser import parse_poly
-from polyinj.poly import BinaryForm, compile_xy_terms
-from polyinj.rationals import FINGERPRINT_PRIMES, fingerprint
+from polyinj.poly import BinaryForm, MultiPoly, compile_xy_terms
+from polyinj.rationals import FINGERPRINT_PRIMES, fingerprint, is_prime
 
 
 def test_enumerate_inputs_examples():
@@ -70,6 +70,15 @@ def test_search_space_validation():
         SearchSpace("integers", 0)
 
 
+@pytest.mark.parametrize("height", [True, 2.0, "3"], ids=["bool", "float", "str"])
+def test_search_space_refuses_a_height_that_is_not_an_int(height):
+    # A bool would reach the report as "height": true; a float or a string
+    # would fail deep in range().  The error names the value.
+    for mode in ("integers", "rationals"):
+        with pytest.raises(ValueError, match=repr(height)):
+            SearchSpace(mode, height)
+
+
 def test_find_collisions_examples():
     rep = find_collisions(parse_poly("x + y"), SearchSpace("integers", 1))
     assert (((0, 1), (1, 0), 1)) in rep.collisions
@@ -110,7 +119,7 @@ def test_naive_oracle_evaluates_without_the_engine(monkeypatch):
     for (poly, space, kind), classes in zip(cases, expected):
         assert classes and {type(v) for _, v in classes} == {kind}
         assert naive_collisions(poly, space).classes == classes
-        assert find_collisions(poly, space).classes != classes
+        assert find_collisions(poly, space, primes=(5, 7)).classes != classes
     assert cube.eval_xy(1, 1) == 0
     assert all(oracle_results)
     assert [oracle() for oracle in oracles] == oracle_results
@@ -640,3 +649,117 @@ def test_join_matches_oracle_and_brute_force_candidates(tmp_path, primes):
                 assert rep.stats["exact_confirms"] == want
             texts.add(runs[0].to_json_text())
         assert len(texts) == 1
+
+
+# -- exact by bound -----------------------------------------------------------
+
+
+def _int_box_bound(poly, height):
+    """B = sum of |c| * H^(ex+ey): no value of an integer poly on the box exceeds it."""
+    return int(sum(abs(c) * height ** (ex + ey) for ex, ey, c in poly.xy_terms()))
+
+
+def _prime_above(m):
+    q = max(m + 1, 3)
+    while not is_prime(q):
+        q += 1
+    return q
+
+
+def _shared_fingerprint_count(poly, space, primes):
+    """Inputs whose full fingerprint is shared: the join's candidate count."""
+    axis = input_axis(space)
+    n = len(axis)
+    fps = [fingerprint(poly.eval_xy(axis[i // n], axis[i % n]), primes) for i in range(n * n)]
+    shared = Counter(fps)
+    return sum(shared[fp] > 1 for fp in fps)
+
+
+def test_exact_by_bound_join_matches_oracle_on_random_integer_forms():
+    # Integer forms on integer boxes, with the first prime just above 2B
+    # (the slot is the value), below 2B (the general path), or the default.
+    # Classes, values, value types and stats equal the oracle's.
+    rng = random.Random(28)
+    sides = Counter()
+    for _ in range(45):
+        terms = {(rng.randint(0, 4), rng.randint(0, 4)):
+                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 4))}
+        poly = MultiPoly(("x", "y"), terms)
+        space = SearchSpace("integers", rng.randint(1, 5))
+        two_b = 2 * _int_box_bound(poly, space.height)
+        q = rng.choice([_prime_above(two_b), _prime_above(rng.randint(2, max(2, two_b // 2))),
+                        FINGERPRINT_PRIMES[0]])
+        primes = FINGERPRINT_PRIMES if q == FINGERPRINT_PRIMES[0] else (q, _prime_above(q))
+        sides[two_b < q] += 1
+        rep = find_collisions(poly, space, primes=primes)
+        oracle = naive_collisions(poly, space)
+        assert rep.classes == oracle.classes, (poly.render(), space, primes)
+        assert [type(v) for _, v in rep.classes] == [type(v) for _, v in oracle.classes]
+        want = _shared_fingerprint_count(poly, space, primes)
+        assert rep.stats["fingerprint_candidates"] == rep.stats["exact_confirms"] == want
+    assert sides[True] >= 10 and sides[False] >= 10
+
+
+@pytest.mark.parametrize("text", ["-x^3 - y^3", "-x^2 - y^2"])
+def test_exact_by_bound_centres_values_down_to_minus_b(text):
+    # Each form takes the value -B at the corner (H, H); -x^2 - y^2 takes it
+    # on the class of the four corners.  With q the least prime above 2B,
+    # the centring is as tight as it gets: a slot read as the value without
+    # centring would put every negative class value at v + q.
+    poly = parse_poly(text)
+    for height in (1, 2, 6):
+        space = SearchSpace("integers", height)
+        b = _int_box_bound(poly, height)
+        assert poly.eval_xy(height, height) == -b
+        q = _prime_above(2 * b)
+        rep = find_collisions(poly, space, primes=(q, _prime_above(q)))
+        assert rep.classes == naive_collisions(poly, space).classes
+        assert min(v for _, v in rep.classes) < 0
+        if text == "-x^2 - y^2":
+            assert rep.classes[0][1] == -b
+
+
+@pytest.mark.parametrize("height", [25, 26], ids=["2B-below-q", "2B-above-q"])
+def test_exact_by_bound_boundary_on_custom_primes(height):
+    # x + y on [-H, H]^2 has B = 2H: 2B = 100 < 101 takes the bound path,
+    # 2B = 104 the general one, where -52 and 49 share their slot mod 101.
+    poly, space, primes = parse_poly("x + y"), SearchSpace("integers", height), (101, 103)
+    want = _shared_fingerprint_count(poly, space, primes)
+    oracle = naive_collisions(poly, space)
+    for shards in (1, 3):
+        rep = find_collisions(poly, space, shards=shards, primes=primes)
+        assert rep.classes == oracle.classes
+        assert rep.values == oracle.values
+        assert rep.stats["fingerprint_candidates"] == rep.stats["exact_confirms"] == want
+
+
+@pytest.mark.parametrize("text, height, primes, bound", [
+    ("x + y", 25, (101, 103), True),
+    ("x + y", 26, (101, 103), False),
+    ("x^3 + y^3", 20, FINGERPRINT_PRIMES, True),
+    ("x^3 + y^3", 20, (5, 7), False),
+], ids=["x+y-25", "x+y-26", "cube-default", "cube-5-7"])
+def test_exact_by_bound_skips_other_primes_and_exact_evaluation(monkeypatch, text, height,
+                                                                primes, bound):
+    # With 2B < q the classes come from the first-prime slots alone: no
+    # other prime's slot and no exact evaluator.  With 2B >= q both run,
+    # and the evaluator is built once, for confirmation.
+    calls = Counter()
+    make_evaluator, fingerprints = collide.make_evaluator, collide._candidate_fingerprints
+
+    def counting_make_evaluator(rows):
+        calls["make_evaluator"] += 1
+        return make_evaluator(rows)
+
+    def counting_fingerprints(*args):
+        calls["_candidate_fingerprints"] += 1
+        return fingerprints(*args)
+
+    monkeypatch.setattr(collide, "make_evaluator", counting_make_evaluator)
+    monkeypatch.setattr(collide, "_candidate_fingerprints", counting_fingerprints)
+    poly, space = parse_poly(text), SearchSpace("integers", height)
+    rep = find_collisions(poly, space, primes=primes)
+    assert rep.classes
+    assert calls == ({} if bound else {"make_evaluator": 1, "_candidate_fingerprints": 1})
+    assert rep.classes == naive_collisions(poly, space).classes

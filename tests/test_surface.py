@@ -135,3 +135,8 @@ def test_point_set_json():
     assert doc["height"] == 12
     assert doc["trivial_count"] == 184
     assert ["1", "12", "9", "10"] in doc["exceptional"]
+
+
+def test_scan_refuses_a_height_that_is_not_an_int():
+    with pytest.raises(ValueError, match="2.0"):
+        scan_surface(form("x^3 + y^3"), 2.0)
